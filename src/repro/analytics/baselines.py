@@ -7,17 +7,18 @@ whose slowdown comes only from the architectural trait the paper
 credits for GRAPE's advantage:
 
 * :func:`powergraph_engine` — GAS-style scatter: per-edge message rows
-  are materialized and shuffled before aggregation (no combiner), edge
-  fragments are neither pre-partitioned nor cached, and lineage is
-  never checkpointed.  PowerGraph's vertex-cut scatter/gather has
-  exactly this "message per edge over the wire" cost profile.
+  are materialized and shuffled before aggregation (no combiner), and
+  edge fragments are neither pre-partitioned nor cached.  PowerGraph's
+  vertex-cut scatter/gather has exactly this "message per edge over
+  the wire" cost profile.
 * :func:`gemini_engine` — computation-centric and well-engineered
   (cached fragments, combiner) but without GRAPE's pre-partitioned
-  fragments or lineage checkpointing; the paper reports GRAPE only
-  2-3× ahead of Gemini, and these two switches are the gap we model.
+  fragments; the paper reports GRAPE only 2-3× ahead of Gemini, and
+  this switch is the gap we model.
 
-Both reuse the identical :class:`GrapeEngine` superstep loop, so the
-measured difference is *only* the configuration delta.
+Both reuse the identical :class:`GrapeEngine` superstep loop, lineage
+checkpoint at every superstep included, so the measured difference is
+*only* the configuration delta.
 """
 from __future__ import annotations
 
@@ -43,8 +44,7 @@ def powergraph_engine(spark: SparkSession, store: GraphStore, **kw) -> GrapeEngi
 
 
 def gemini_engine(spark: SparkSession, store: GraphStore, **kw) -> GrapeEngine:
-    """Gemini-analog: cached + combined, but unpartitioned fragments and
-    unbounded lineage."""
+    """Gemini-analog: cached + combined, but unpartitioned fragments."""
     cfg = GrapeConfig(
         prepartition_edges=False,
         cache_edges=True,

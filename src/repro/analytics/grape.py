@@ -157,7 +157,7 @@ class GrapeEngine:
                 state.join(msgs, on="id", how="left")
                 .select("id", update(F.col("value"), F.col("msg")).alias("value"))
             )
-            # BSP superstep barrier (see GrapeConfig.materialize).
+            # BSP superstep barrier, the same in every configuration.
             # Every mode truncates lineage — leaving the logical plan to
             # double per superstep would measure Catalyst analysis
             # blowup, not engine architecture.

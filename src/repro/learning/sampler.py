@@ -74,10 +74,10 @@ class NumpySampler:
             r = self.rng.random((len(cur), fan))
             offs = (r * np.maximum(deg, 1)[:, None]).astype(np.int64)
             idx = indptr[cur][:, None] + offs
-            nbrs = indices[idx.ravel()]
-            # isolated vertices: self-loop
-            iso = np.repeat(deg == 0, fan)
-            if iso.any():
-                nbrs[iso] = np.repeat(cur, fan)[iso]
+            # isolated vertices self-loop; only vertices with out-edges
+            # gather, so none reads past its own segment (or the array)
+            nbrs = np.repeat(cur, fan)
+            has = np.repeat(deg > 0, fan)
+            nbrs[has] = indices[idx.ravel()[has]]
             layers.append(nbrs)
         return layers

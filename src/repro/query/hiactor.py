@@ -4,29 +4,32 @@ HiActor executes small point-lookup-ish queries on actor shards over
 in-memory state — latency is microseconds, throughput comes from many
 concurrent actors.  The analog here: a driver-local engine holding
 
-* per-label property tables indexed by vertex id, and
-* per-(edge label, direction) CSR-style adjacency (sorted arrays +
-  ``searchsorted`` slicing) including edge properties,
+* per-label property tables sorted by vertex id, looked up by position
+  (``searchsorted`` on the id column, then a take from the column
+  arrays — :class:`_VertexTable`), and
+* per-(edge label, direction) adjacency over sorted keys including edge
+  properties (:class:`_AdjIndex`), read a whole frontier at a time with
+  one batch gather (:meth:`_AdjIndex.gather`),
 
 built once from any GRIN store's :meth:`to_property_graph` view (the
 Vineyard/GART zero-copy sharing path).  The same physical plans Gaia
-runs distributed execute here row-at-a-time (vectorized per query);
-tests assert both engines return identical rows.
-
-Concurrency: :func:`serve_threadpool` measures sustained throughput
-with a worker pool, the analog of HiActor's shard-per-core loop.  The
-fraud benchmark uses a process pool (true parallelism) — see
-``repro.usecases.fraud``.
+runs distributed execute here, each operator vectorised over all rows
+of the query; tests assert both engines return identical rows.  The
+SNB-interactive queries (:mod:`repro.query.snb_interactive`) and the
+fraud check (:mod:`repro.usecases.fraud`) read the same two structures.
+The fraud benchmark's throughput sweep uses a process pool (true
+parallelism), the analog of HiActor's shard-per-core loop.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import operator
 
 import numpy as np
 import pandas as pd
 
 from repro.datasets.property_graph import PropertyGraph
 from repro.query import ir
+from repro.storage.csr import gather_segments
 
 
 class _AdjIndex:
@@ -46,15 +49,71 @@ class _AdjIndex:
     def neighbors(self, vid: int) -> np.ndarray:
         return self.nbrs[self.slice(vid)]
 
+    def gather(self, vids) -> tuple[np.ndarray, np.ndarray]:
+        """Entries of a whole frontier at once.
+
+        Returns ``(row, take)``: ``take`` indexes ``nbrs`` and ``props``,
+        and ``row[j]`` is the position in ``vids`` of the id entry
+        ``take[j]`` belongs to.  Ids are grouped in frontier order; an id
+        listed twice gets its entries twice (join semantics) and an id
+        with no entries contributes none.
+        """
+        vids = np.asarray(vids)
+        return gather_segments(
+            np.searchsorted(self.keys, vids, "left"), np.searchsorted(self.keys, vids, "right")
+        )
+
+
+class _VertexTable:
+    """One label's vertex properties, sorted by id and looked up by position.
+
+    ``frame`` holds every property and ``cols`` are views of its columns:
+    a lookup is a ``searchsorted`` on ``cols["id"]`` (:func:`find_rows`)
+    and a take from the column arrays, and the views cost no second copy.
+    A table is never changed in place; :meth:`insert` returns a new one,
+    so a reader holding a table sees ids and columns of one version.
+    """
+
+    def __init__(self, frame: pd.DataFrame):
+        self.frame = frame
+        self.cols = {c: frame[c].to_numpy() for c in frame.columns}
+
+    @classmethod
+    def from_frame(cls, pdf: pd.DataFrame) -> _VertexTable:
+        return cls(pdf.sort_values("id", kind="stable", ignore_index=True))
+
+    def find(self, vids) -> tuple[np.ndarray, np.ndarray]:
+        return find_rows(self.cols["id"], vids)
+
+    def insert(self, row: dict) -> _VertexTable:
+        """A copy with ``row`` added at its place in id order."""
+        pos = int(np.searchsorted(self.cols["id"], row["id"], "right"))
+        return _VertexTable(pd.DataFrame({
+            c: np.concatenate([a[:pos], np.asarray([row[c]]), a[pos:]])
+            for c, a in self.cols.items()
+        }, copy=False))
+
+
+def find_rows(ids: np.ndarray, vids) -> tuple[np.ndarray, np.ndarray]:
+    """Positional lookup in a sorted id column.
+
+    Returns ``(pos, hit)``: ``hit`` masks the entries of ``vids`` present
+    in ``ids`` and ``pos`` holds their row positions, in ``vids`` order
+    (duplicates repeat).
+    """
+    vids = np.asarray(vids)
+    pos = np.searchsorted(ids, vids)
+    hit = pos < len(ids)
+    hit[hit] = ids[pos[hit]] == vids[hit]
+    return pos[hit], hit
+
 
 class HiActorEngine:
     """In-memory interpreter for physical GraphIR plans."""
 
     def __init__(self, pg: PropertyGraph):
         self.signatures = dict(pg.edge_signatures)
-        self.vprops: dict[str, pd.DataFrame] = {
-            l: p.set_index("id", drop=False) for l, p in pg.vertices.items()
-        }
+        self.tables = {l: _VertexTable.from_frame(p) for l, p in pg.vertices.items()}
         self.adj: dict[tuple[str, str], _AdjIndex] = {}
         for label, pdf in pg.edges.items():
             props = {
@@ -64,130 +123,141 @@ class HiActorEngine:
             self.adj[(label, "out")] = _AdjIndex(s, d, props)
             self.adj[(label, "in")] = _AdjIndex(d, s, props)
 
-    # -- plan interpretation -------------------------------------------
-    def execute(self, plan) -> pd.DataFrame:
-        df: pd.DataFrame | None = None
-        for op in plan:
-            df = self._apply(df, op)
-        return df.reset_index(drop=True)
+    @property
+    def vprops(self) -> dict[str, pd.DataFrame]:
+        """Every vertex property, one frame per label."""
+        return {l: t.frame for l, t in self.tables.items()}
 
-    def _vertex_frame(self, label: str, alias: str, predicate) -> pd.DataFrame:
-        vp = self.vprops[label]
-        # INDEX trait fast path: id-equality predicates become lookups
+    # -- plan interpretation -------------------------------------------
+    # Between operators a relation is a dict of equal-length column
+    # arrays; only the result, joins and Raw predicates build a pandas
+    # frame (per-operator frame construction cost more than the work).
+    def execute(self, plan) -> pd.DataFrame:
+        rel: Rel | None = None
+        for op in plan:
+            rel = self._apply(rel, op)
+        return pd.DataFrame(rel)
+
+    def _vertex_rel(self, label: str, alias: str, predicate) -> Rel:
+        t = self.tables[label]
+        # INDEX trait fast path: the first id-equality predicate becomes
+        # a positional lookup, every other atom a filter
         ids = None
         rest = []
         for a in predicate or ():
-            if isinstance(a, ir.Cmp) and a.prop in (None, "id") and a.op == "=":
-                ids = [a.value] if a.value in vp.index else []
-            elif isinstance(a, ir.InList) and a.prop in (None, "id"):
-                ids = [v for v in a.values if v in vp.index]
+            if ids is None and isinstance(a, ir.Cmp) and a.prop in (None, "id") and a.op == "=":
+                ids = [a.value]
+            elif ids is None and isinstance(a, ir.InList) and a.prop in (None, "id"):
+                ids = list(a.values)
             else:
                 rest.append(a)
-        sub = vp.loc[ids] if ids is not None else vp
-        out = sub.rename(columns={c: f"{alias}_{c}" for c in sub.columns}).reset_index(
-            drop=True
-        )
-        for a in rest:
-            out = out[_eval_atom(out, a)]
-        return out
+        rows = slice(None) if ids is None else t.find(ids)[0]
+        return _filter({f"{alias}_{c}": a[rows] for c, a in t.cols.items()}, rest)
 
-    def _apply(self, df, op) -> pd.DataFrame:
+    def _apply(self, rel: Rel | None, op) -> Rel:
         if isinstance(op, ir.Scan):
-            rel = self._vertex_frame(op.label, op.alias, op.predicate)
-            if df is None:
-                return rel
-            return df.merge(rel, how="cross")
+            new = self._vertex_rel(op.label, op.alias, op.predicate)
+            if rel is None:
+                return new
+            n, m = _nrows(rel), _nrows(new)  # cross product, left-major
+            out = {c: a[np.repeat(np.arange(n), m)] for c, a in rel.items()}
+            out.update({c: a[np.tile(np.arange(m), n)] for c, a in new.items()})
+            return out
         if isinstance(op, ir.ExpandEdge) or isinstance(op, ir.ExpandVertex):
+            # fused ExpandVertex keeps the edge properties only for its
+            # predicate, under the target alias, and drops them after
             fused = isinstance(op, ir.ExpandVertex)
             ealias = op.alias if fused else op.edge_alias
             dirs = ["out", "in"] if op.direction == "both" else [op.direction]
+            src_ids = rel[f"{op.from_alias}_id"]
             parts = []
             for d in dirs:
                 idx = self.adj[(op.edge_label, d)]
-                src_ids = df[f"{op.from_alias}_id"].to_numpy()
-                lows = np.searchsorted(idx.keys, src_ids, "left")
-                highs = np.searchsorted(idx.keys, src_ids, "right")
-                counts = highs - lows
-                row_rep = np.repeat(np.arange(len(df)), counts)
-                take = np.concatenate(
-                    [np.arange(l, h) for l, h in zip(lows, highs)]
-                ) if len(df) else np.empty(0, dtype=np.int64)
-                part = df.iloc[row_rep].reset_index(drop=True)
-                if fused:
-                    part[f"{op.alias}_id"] = idx.nbrs[take]
-                    for c, arr in idx.props.items():
-                        part[f"__fprop_{c}"] = arr[take]  # for edge predicate
-                else:
-                    part[f"{ealias}_nbr"] = idx.nbrs[take]
-                    for c, arr in idx.props.items():
-                        part[f"{ealias}_{c}"] = arr[take]
+                row, take = idx.gather(src_ids)
+                part = {c: a[row] for c, a in rel.items()}
+                part[f"{op.alias}_id" if fused else f"{ealias}_nbr"] = idx.nbrs[take]
+                for c, arr in idx.props.items():
+                    part[f"{ealias}_{c}"] = arr[take]
                 parts.append(part)
-            out = pd.concat(parts, ignore_index=True) if len(parts) > 1 else parts[0]
-            for a in op.predicate or ():
-                if fused:
-                    tmp = out.rename(
-                        columns={f"__fprop_{c}": f"{op.alias}_{c}" for c in idx.props}
-                    )
-                    out = out[_eval_atom(tmp, a)]
-                else:
-                    out = out[_eval_atom(out, a)]
+            out = parts[0] if len(parts) == 1 else {
+                c: np.concatenate([p[c] for p in parts]) for c in parts[0]
+            }
+            out = _filter(out, op.predicate or ())
             if fused:
-                out = out.drop(columns=[c for c in out.columns if c.startswith("__fprop_")])
+                for c in idx.props:
+                    del out[f"{ealias}_{c}"]
             return out
         if isinstance(op, ir.GetVertex):
-            rel = self._vertex_frame(op.label, op.alias, op.predicate)
-            out = df.merge(
-                rel, left_on=f"{op.edge_alias}_nbr", right_on=f"{op.alias}_id"
-            )
-            return out.drop(columns=[f"{op.edge_alias}_nbr"])
+            # take only the matched vertex rows (an inner join on id)
+            nbr = f"{op.edge_alias}_nbr"
+            t = self.tables[op.label]
+            pos, hit = t.find(rel[nbr])
+            out = {c: a[hit] for c, a in rel.items() if c != nbr}
+            for c, a in t.cols.items():
+                out[f"{op.alias}_{c}"] = a[pos]
+            return _filter(out, op.predicate or ())
         if isinstance(op, ir.Join):
             left = self.execute(op.left)
             right = self.execute(op.right)
             keys = sorted(set(left.columns) & set(right.columns))
-            return left.merge(right, on=keys)
+            joined = left.merge(right, on=keys)
+            return {c: joined[c].to_numpy() for c in joined.columns}
         if isinstance(op, ir.Select):
-            for a in op.predicate:
-                df = df[_eval_atom(df, a)]
-            return df
+            return _filter(rel, op.predicate)
         if isinstance(op, ir.Project):
-            out = pd.DataFrame({e.name: df[e.ref.column] for e in op.exprs})
-            return out.drop_duplicates() if op.distinct else out
+            out = {e.name: rel[e.ref.column] for e in op.exprs}
+            if op.distinct:  # first occurrence of each row, in order
+                out = _take(out, _group_codes(list(out.values()))[1])
+            return out
         if isinstance(op, ir.GroupBy):
-            return _groupby(df, op)
+            return _groupby(rel, op)
         if isinstance(op, ir.OrderBy):
-            names = [n for n, _ in op.keys]
-            asc = [a for _, a in op.keys]
-            return df.sort_values(names, ascending=asc, kind="stable")
+            keys = [_sort_key(rel[n], asc) for n, asc in op.keys]
+            return _take(rel, np.lexsort(keys[::-1]))  # stable, first key major
         if isinstance(op, ir.Limit):
-            return df.head(op.n)
+            return {c: a[: op.n] for c, a in rel.items()}
         if isinstance(op, ir.Count):
-            return pd.DataFrame({op.name: [len(df)]})
+            return {op.name: np.array([_nrows(rel)])}
         raise TypeError(f"unexecutable op {op!r}")
 
 
-def _eval_atom(df: pd.DataFrame, a) -> pd.Series:
+Rel = dict[str, np.ndarray]
+
+
+def _nrows(rel: Rel) -> int:
+    return len(next(iter(rel.values())))
+
+
+def _take(rel: Rel, rows: np.ndarray) -> Rel:
+    return {c: a[rows] for c, a in rel.items()}
+
+
+def _filter(rel: Rel, atoms) -> Rel:
+    """Rows of ``rel`` satisfying every predicate atom."""
+    if not atoms:
+        return rel
+    keep = np.ones(_nrows(rel), dtype=bool)
+    for a in atoms:
+        keep &= _eval_atom(rel, a)
+    return _take(rel, keep)
+
+
+def _eval_atom(rel: Rel, a) -> np.ndarray:
     if isinstance(a, ir.Cmp):
-        col = df[f"{a.alias}_{a.prop if a.prop is not None else 'id'}"]
-        return {
-            "=": col == a.value,
-            "!=": col != a.value,
-            "<": col < a.value,
-            "<=": col <= a.value,
-            ">": col > a.value,
-            ">=": col >= a.value,
-        }[a.op]
+        col = rel[f"{a.alias}_{a.prop if a.prop is not None else 'id'}"]
+        return _CMP[a.op](col, a.value)
     if isinstance(a, ir.InList):
-        col = df[f"{a.alias}_{a.prop if a.prop is not None else 'id'}"]
-        return col.isin(a.values)
+        col = rel[f"{a.alias}_{a.prop if a.prop is not None else 'id'}"]
+        return pd.Series(col).isin(a.values).to_numpy()
     if isinstance(a, ir.ColEq):
-        l, r = df[a.left.column], df[a.right.column]
-        return {
-            "=": l == r, "!=": l != r, "<": l < r,
-            "<=": l <= r, ">": l > r, ">=": l >= r,
-        }[a.op]
+        return _CMP[a.op](rel[a.left.column], rel[a.right.column])
     if isinstance(a, ir.Raw):
-        return df.eval(_sql_to_pandas(a.sql))
+        return pd.DataFrame(rel).eval(_sql_to_pandas(a.sql)).to_numpy(dtype=bool)
     raise TypeError(f"bad atom {a!r}")
+
+
+_CMP = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def _sql_to_pandas(sql: str) -> str:
@@ -202,32 +272,48 @@ def _sql_to_pandas(sql: str) -> str:
     return out
 
 
-def _groupby(df: pd.DataFrame, op: ir.GroupBy) -> pd.DataFrame:
-    fns = {"count": "count", "sum": "sum", "avg": "mean", "min": "min", "max": "max"}
+def _group_codes(cols: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Group number of every row over the key columns ``cols`` (groups
+    numbered in order of first appearance, missing values a group of
+    their own) and the first row of each group."""
+    codes = np.zeros(len(cols[0]), dtype=np.int64)
+    for c in cols:
+        k, uniq = pd.factorize(c, use_na_sentinel=False)
+        codes = pd.factorize(codes * len(uniq) + k)[0]
+    return codes, np.unique(codes, return_index=True)[1]
+
+
+def _sort_key(col: np.ndarray, asc: bool) -> np.ndarray:
+    """Integer rank of every value for ``np.lexsort``; missing values
+    last in either direction, as in ``DataFrame.sort_values``."""
+    r, uniq = pd.factorize(col, sort=True)
+    key = r if asc else len(uniq) - 1 - r
+    key[r < 0] = len(uniq)
+    return key
+
+
+_AGG = {"count": "count", "sum": "sum", "avg": "mean", "min": "min", "max": "max"}
+
+
+def _groupby(rel: Rel, op: ir.GroupBy) -> Rel:
     if not op.keys:  # global aggregation -> one row
-        row = {}
-        for a in op.aggs:
-            if a.fn == "count" and a.ref is None:
-                row[a.name] = len(df)
-            else:
-                row[a.name] = getattr(df[a.ref.column], fns[a.fn])()
-        return pd.DataFrame([row])
-    keys = [e.ref.column for e in op.keys]
-    named = {e.name: e.ref.column for e in op.keys}
-    g = df.groupby(keys, dropna=False, sort=False)
-    cols = {}
+        return {
+            a.name: np.array([
+                _nrows(rel) if a.fn == "count" and a.ref is None
+                else getattr(pd.Series(rel[a.ref.column]), _AGG[a.fn])()
+            ])
+            for a in op.aggs
+        }
+    codes, first = _group_codes([rel[e.ref.column] for e in op.keys])
+    out = {e.name: rel[e.ref.column][first] for e in op.keys}
     for a in op.aggs:
         if a.fn == "count" and a.ref is None:
-            cols[a.name] = g.size()
-        else:
-            cols[a.name] = getattr(g[a.ref.column], fns[a.fn])()
-    out = pd.DataFrame(cols).reset_index()
-    ren = {src: name for name, src in named.items()}
-    return out.rename(columns=ren)
-
-
-# -- concurrency harness ----------------------------------------------------
-def serve_threadpool(engine: HiActorEngine, tasks, n_workers: int) -> list:
-    """Run callables(engine) on a shard-like worker pool; returns results."""
-    with ThreadPoolExecutor(max_workers=n_workers) as ex:
-        return list(ex.map(lambda t: t(engine), tasks))
+            out[a.name] = np.bincount(codes, minlength=len(first))
+        elif a.fn == "count":
+            out[a.name] = np.bincount(
+                codes[pd.notna(rel[a.ref.column])], minlength=len(first)
+            )
+        else:  # pandas' per-group semantics (missing values skipped)
+            g = pd.Series(rel[a.ref.column]).groupby(codes)
+            out[a.name] = getattr(g, _AGG[a.fn])().to_numpy()
+    return out

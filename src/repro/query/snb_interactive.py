@@ -9,12 +9,17 @@ S1–S4, U1–U3) on the SNB-lite schema.  Every query is written ONCE
 against the :class:`DataAccess` interface; two implementations supply
 the access path:
 
-* :class:`IndexedAccess` — HiActor-style sorted-adjacency + id-indexed
-  property tables (actor-shard state);
+* :class:`IndexedAccess` — HiActor's structures: sorted adjacency read a
+  frontier at a time (one batch gather) and id-sorted property tables
+  looked up by position (actor-shard state);
 * :class:`ScanAccess` — the baseline stand-in: identical data held as
   raw arrays, every lookup a full scan (a graph store without
   adjacency indexes — the architectural gap our TuGraph stand-in
   models; see DESIGN.md §5).
+
+Besides single-vertex reads, the interface has batch reads (the
+neighbours of many vertices, properties of many vertices), so the
+complex reads touch each hop once instead of once per vertex.
 
 Both accept the same update events, so correctness tests can diff the
 two implementations query-by-query after an update stream.
@@ -27,7 +32,8 @@ import numpy as np
 import pandas as pd
 
 from repro.datasets.property_graph import PropertyGraph
-from repro.query.hiactor import _AdjIndex
+from repro.query.hiactor import _AdjIndex, _VertexTable, find_rows
+from repro.storage.csr import gather_segments
 
 
 class DataAccess(ABC):
@@ -37,7 +43,24 @@ class DataAccess(ABC):
     def vertex(self, label: str, vid: int) -> dict | None: ...
 
     @abstractmethod
+    def vertex_props(
+        self, label: str, vids: np.ndarray, props: list[str]
+    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """Properties of many vertices: ``(hit, cols)`` where ``hit`` masks
+        the entries of ``vids`` that exist and ``cols[p]`` holds property
+        ``p`` of ``vids[hit]``, in that order."""
+
+    @abstractmethod
     def neighbors(self, vid: int, elabel: str, direction: str) -> np.ndarray: ...
+
+    @abstractmethod
+    def neighbors_batch(
+        self, vids: np.ndarray, elabel: str, direction: str
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbours of many vertices (``direction`` "out" or "in"):
+        ``(row, nbrs)`` with one entry per edge, ``row`` indexing the
+        entry of ``vids`` the edge starts from.  An id listed twice gets
+        its edges twice, as in a join; the order of edges is unspecified."""
 
     @abstractmethod
     def neighbors_with_prop(
@@ -55,24 +78,36 @@ class DataAccess(ABC):
     def add_edge(self, elabel: str, src: int, dst: int, props: dict) -> None: ...
 
 
+def _row(cols: dict[str, np.ndarray], pos: int) -> dict:
+    return {c: a[pos : pos + 1].tolist()[0] for c, a in cols.items()}
+
+
 class IndexedAccess(DataAccess):
-    """HiActor-style: id-indexed property maps + sorted adjacency."""
+    """HiActor-style: id-sorted property tables looked up by position +
+    sorted adjacency read a frontier at a time."""
 
     def __init__(self, pg: PropertyGraph):
-        self._v = {l: p.set_index("id", drop=False) for l, p in pg.vertices.items()}
+        self._tables = {l: _VertexTable.from_frame(p) for l, p in pg.vertices.items()}
         self._adj: dict[tuple[str, str], _AdjIndex] = {}
-        self._eprops: dict[str, list[str]] = {}
         for label, pdf in pg.edges.items():
             props = {c: pdf[c].to_numpy() for c in pdf.columns if c not in ("src", "dst")}
-            self._eprops[label] = list(props)
             self._adj[(label, "out")] = _AdjIndex(pdf.src.to_numpy(), pdf.dst.to_numpy(), props)
             self._adj[(label, "in")] = _AdjIndex(pdf.dst.to_numpy(), pdf.src.to_numpy(), props)
 
+    @property
+    def _v(self) -> dict[str, pd.DataFrame]:
+        """Every vertex property, one frame per label."""
+        return {l: t.frame for l, t in self._tables.items()}
+
     def vertex(self, label, vid):
-        t = self._v[label]
-        if vid not in t.index:
-            return None
-        return t.loc[vid].to_dict()
+        t = self._tables[label]
+        pos, _ = t.find([vid])
+        return _row(t.cols, pos[0]) if len(pos) else None
+
+    def vertex_props(self, label, vids, props):
+        t = self._tables[label]  # one consistent version of the table
+        pos, hit = t.find(vids)
+        return hit, {c: t.cols[c][pos] for c in props}
 
     def neighbors(self, vid, elabel, direction):
         if direction == "both":
@@ -80,6 +115,11 @@ class IndexedAccess(DataAccess):
                 [self.neighbors(vid, elabel, "out"), self.neighbors(vid, elabel, "in")]
             )
         return self._adj[(elabel, direction)].neighbors(vid)
+
+    def neighbors_batch(self, vids, elabel, direction):
+        idx = self._adj[(elabel, direction)]
+        row, take = idx.gather(vids)
+        return row, idx.nbrs[take]
 
     def neighbors_with_prop(self, vid, elabel, direction, prop):
         if direction == "both":
@@ -91,12 +131,12 @@ class IndexedAccess(DataAccess):
         return idx.nbrs[sl], idx.props[prop][sl]
 
     def find_vertices(self, label, prop, value):
-        t = self._v[label]
-        return t.index[t[prop] == value].to_numpy()
+        cols = self._tables[label].cols
+        return cols["id"][cols[prop] == value]
 
     def add_vertex(self, label, row):
-        new = pd.DataFrame([row]).set_index("id", drop=False)
-        self._v[label] = pd.concat([self._v[label], new])
+        # copy-on-write + atomic swap of the whole table (see add_edge)
+        self._tables[label] = self._tables[label].insert(row)
 
     def add_edge(self, elabel, src, dst, props):
         # copy-on-write + atomic swap of the whole index object, so
@@ -118,17 +158,22 @@ class ScanAccess(DataAccess):
     """Baseline: same data, no indexes — every access is a full scan."""
 
     def __init__(self, pg: PropertyGraph):
-        self._v = {l: p.reset_index(drop=True) for l, p in pg.vertices.items()}
+        self._v = {l: {c: p[c].to_numpy() for c in p.columns} for l, p in pg.vertices.items()}
         self._e: dict[str, dict[str, np.ndarray]] = {}
         for label, pdf in pg.edges.items():
             self._e[label] = {c: pdf[c].to_numpy() for c in pdf.columns}
 
     def vertex(self, label, vid):
-        t = self._v[label]
-        hit = t[t.id.to_numpy() == vid]  # linear scan
-        if not len(hit):
-            return None
-        return hit.iloc[0].to_dict()
+        v = self._v[label]
+        hit = np.flatnonzero(v["id"] == vid)  # linear scan
+        return _row(v, hit[0]) if len(hit) else None
+
+    def vertex_props(self, label, vids, props):
+        v = self._v[label]
+        rows = np.flatnonzero(np.isin(v["id"], vids))  # one full scan of the table
+        rows = rows[np.argsort(v["id"][rows], kind="stable")]
+        pos, hit = find_rows(v["id"][rows], vids)
+        return hit, {c: v[c][rows[pos]] for c in props}
 
     def neighbors(self, vid, elabel, direction):
         e = self._e[elabel]  # grab one consistent snapshot dict
@@ -138,6 +183,18 @@ class ScanAccess(DataAccess):
             )
         key, other = ("src", "dst") if direction == "out" else ("dst", "src")
         return e[other][e[key] == vid]
+
+    def neighbors_batch(self, vids, elabel, direction):
+        e = self._e[elabel]
+        key, other = ("src", "dst") if direction == "out" else ("dst", "src")
+        vids = np.asarray(vids)
+        order = np.argsort(vids, kind="stable")
+        sv = vids[order]
+        # one pass over every edge, matched against the sorted frontier
+        edge, match = gather_segments(
+            np.searchsorted(sv, e[key], "left"), np.searchsorted(sv, e[key], "right")
+        )
+        return order[match], e[other][edge]
 
     def neighbors_with_prop(self, vid, elabel, direction, prop):
         e = self._e[elabel]
@@ -152,13 +209,13 @@ class ScanAccess(DataAccess):
         return e[other][mask], e[prop][mask]
 
     def find_vertices(self, label, prop, value):
-        t = self._v[label]
-        return t.id.to_numpy()[t[prop].to_numpy() == value]
+        v = self._v[label]
+        return v["id"][v[prop] == value]
 
     def add_vertex(self, label, row):
-        self._v[label] = pd.concat(
-            [self._v[label], pd.DataFrame([row])], ignore_index=True
-        )
+        # copy-on-write + atomic dict swap (see IndexedAccess.add_edge)
+        old = self._v[label]
+        self._v[label] = {c: np.append(a, row[c]) for c, a in old.items()}
 
     def add_edge(self, elabel, src, dst, props):
         # copy-on-write + atomic dict swap (see IndexedAccess.add_edge)
@@ -176,74 +233,58 @@ class ScanAccess(DataAccess):
 # ---------------------------------------------------------------------------
 # the workload: complex (C), short (S), update (U) queries
 # ---------------------------------------------------------------------------
+def _two_hop(da: DataAccess, person: int) -> np.ndarray:
+    """Friends and friends-of-friends of ``person``, without ``person``."""
+    f1 = da.neighbors(person, "KNOWS", "out")
+    _, f2 = da.neighbors_batch(f1, "KNOWS", "out")
+    return np.setdiff1d(np.concatenate([f1, f2]), [person])
+
+
 def c1_friends_in_city(da: DataAccess, person: int, city: str, k: int = 10):
     """Friends and friends-of-friends living in ``city`` (IC1-style)."""
-    f1 = da.neighbors(person, "KNOWS", "out")
-    f2 = np.unique(
-        np.concatenate([da.neighbors(int(f), "KNOWS", "out") for f in f1])
-        if len(f1)
-        else np.empty(0, dtype=np.int64)
-    )
-    cand = np.setdiff1d(np.unique(np.concatenate([f1, f2])), [person])
-    rows = []
-    for c in cand:
-        v = da.vertex("Person", int(c))
-        if v and v["city"] == city:
-            rows.append((int(c), v["name"]))
-    rows.sort(key=lambda r: r[1])
-    return rows[:k]
+    cand = _two_hop(da, person)
+    hit, v = da.vertex_props("Person", cand, ["city", "name"])
+    here = v["city"] == city
+    ids, names = cand[hit][here], v["name"][here]
+    top = np.argsort(names, kind="stable")[:k]  # ties stay in id order
+    return list(zip(ids[top].tolist(), names[top].tolist()))
 
 
 def c2_recent_posts(da: DataAccess, person: int, max_date: int, k: int = 10):
     """Latest posts created by friends, up to ``max_date`` (IC2-style)."""
-    rows = []
-    for f in da.neighbors(person, "KNOWS", "out"):
-        for p in da.neighbors(int(f), "CREATED", "out"):
-            v = da.vertex("Post", int(p))
-            if v and v["creationDate"] <= max_date:
-                rows.append((v["creationDate"], int(p), int(f)))
-    rows.sort(reverse=True)
-    return rows[:k]
+    f1 = da.neighbors(person, "KNOWS", "out")
+    row, posts = da.neighbors_batch(f1, "CREATED", "out")
+    hit, v = da.vertex_props("Post", posts, ["creationDate"])
+    dates = v["creationDate"]
+    ok = dates <= max_date
+    rows = zip(dates[ok].tolist(), posts[hit][ok].tolist(), f1[row][hit][ok].tolist())
+    return sorted(rows, reverse=True)[:k]
 
 
 def c3_city_counts(da: DataAccess, person: int):
     """City histogram of the 2-hop friendship neighborhood (IC3-style)."""
-    f1 = da.neighbors(person, "KNOWS", "out")
-    all_f = np.unique(
-        np.concatenate([f1] + [da.neighbors(int(f), "KNOWS", "out") for f in f1])
-        if len(f1)
-        else np.empty(0, dtype=np.int64)
-    )
-    counts: dict[str, int] = {}
-    for f in np.setdiff1d(all_f, [person]):
-        v = da.vertex("Person", int(f))
-        if v:
-            counts[v["city"]] = counts.get(v["city"], 0) + 1
-    return dict(sorted(counts.items()))
+    _, v = da.vertex_props("Person", _two_hop(da, person), ["city"])
+    cities, counts = np.unique(v["city"], return_counts=True)
+    return dict(zip(cities.tolist(), counts.tolist()))
 
 
 def c4_liked_length_avg(da: DataAccess, person: int):
     """Average length of posts liked by friends (IC4-flavoured)."""
-    tot, n = 0, 0
-    for f in da.neighbors(person, "KNOWS", "out"):
-        for p in da.neighbors(int(f), "LIKES", "out"):
-            v = da.vertex("Post", int(p))
-            if v:
-                tot += v["length"]
-                n += 1
-    return tot / n if n else 0.0
+    f1 = da.neighbors(person, "KNOWS", "out")
+    _, posts = da.neighbors_batch(f1, "LIKES", "out")
+    _, v = da.vertex_props("Post", posts, ["length"])
+    n = len(v["length"])
+    return int(v["length"].sum()) / n if n else 0.0
 
 
 def c5_common_friends(da: DataAccess, person: int, k: int = 5):
     """2-hop candidates ranked by number of common friends (IC5-ish)."""
-    f1 = set(da.neighbors(person, "KNOWS", "out").tolist())
-    scores: dict[int, int] = {}
-    for f in f1:
-        for g in da.neighbors(int(f), "KNOWS", "out"):
-            g = int(g)
-            if g != person and g not in f1:
-                scores[g] = scores.get(g, 0) + 1
-    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+    f1 = np.unique(da.neighbors(person, "KNOWS", "out"))
+    _, g = da.neighbors_batch(f1, "KNOWS", "out")
+    g = g[(g != person) & ~np.isin(g, f1)]
+    ids, counts = np.unique(g, return_counts=True)
+    top = np.lexsort((ids, -counts))[:k]
+    return list(zip(ids[top].tolist(), counts[top].tolist()))
 
 
 def s1_profile(da: DataAccess, person: int):
@@ -251,10 +292,10 @@ def s1_profile(da: DataAccess, person: int):
 
 
 def s2_last_posts(da: DataAccess, person: int, k: int = 5):
-    posts = [da.vertex("Post", int(p)) for p in da.neighbors(person, "CREATED", "out")]
-    posts = [p for p in posts if p]
-    posts.sort(key=lambda p: -p["creationDate"])
-    return posts[:k]
+    posts = da.neighbors(person, "CREATED", "out")
+    hit, v = da.vertex_props("Post", posts, ["creationDate"])
+    top = np.argsort(-v["creationDate"], kind="stable")[:k]
+    return [da.vertex("Post", p) for p in posts[hit][top].tolist()]
 
 
 def s3_friends(da: DataAccess, person: int):

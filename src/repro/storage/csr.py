@@ -6,8 +6,13 @@ Two artifacts live here:
   Exp-1b: an immutable, src-clustered, cached edge frame.  The paper
   uses it as the upper bound on dynamic-store scan throughput.
 * :class:`NumpyCSR` — an indptr/indices CSR held in driver memory, the
-  substrate for HiActor's microsecond lookups and the learning
-  samplers (the paper's in-memory sampling servers).
+  substrate for the learning samplers (the paper's in-memory sampling
+  servers) and the numpy "GPU" kernels.
+
+:func:`gather_segments` is the batch gather shared by every driver-local
+adjacency: ``NumpyCSR.neighbors_batch`` here and HiActor's sorted-key
+index (:mod:`repro.query.hiactor`), which the SNB-interactive queries
+and the fraud check read through.
 """
 from __future__ import annotations
 
@@ -61,13 +66,26 @@ class StaticCSRStore(GraphStore):
         return self._adj.selectExpr("dst as src", "src as dst", "label")
 
 
+def gather_segments(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten the index ranges ``[lo[i], hi[i])`` in one pass.
+
+    Returns ``(row, take)``: ``take`` lists every index of every range in
+    order and ``row[j]`` is the range ``take[j]`` came from — the
+    vectorised form of ``concatenate([arange(l, h) for l, h in ...])``,
+    built with repeat/cumsum arithmetic and no Python loop.
+    """
+    counts = hi - lo
+    row = np.repeat(np.arange(len(counts)), counts)
+    take = np.arange(len(row)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return row, take
+
+
 class NumpyCSR:
     """Driver-memory CSR over one edge label (src-sorted indptr/indices).
 
     ``neighbors(v)`` is an O(deg) slice; ``neighbors_batch`` vectorizes
     over a frontier.  Vertex ids must be dense in ``[0, n)`` — callers
-    relabel with :func:`repro.datasets.graphs.compact_ids` or the
-    id-map utilities in :mod:`repro.query.hiactor`.
+    relabel with :func:`repro.datasets.graphs.compact_ids`.
     """
 
     def __init__(self, src: np.ndarray, dst: np.ndarray, n_vertices: int):
@@ -97,20 +115,10 @@ class NumpyCSR:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     def neighbors_batch(self, frontier: np.ndarray) -> np.ndarray:
-        """Concatenated neighbor lists of every vertex in ``frontier``.
-
-        Fully vectorized (coalesced gather): per-segment take indices
-        are built with repeat/cumsum arithmetic, no Python loop.
-        """
-        if len(frontier) == 0:
-            return np.empty(0, dtype=np.int64)
-        starts = self.indptr[frontier]
-        counts = self.indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        seg_base = np.repeat(np.cumsum(counts) - counts, counts)
-        take = np.repeat(starts, counts) + (np.arange(total) - seg_base)
+        """Concatenated neighbor lists of every vertex in ``frontier``
+        (one coalesced gather, see :func:`gather_segments`)."""
+        frontier = np.asarray(frontier, dtype=np.int64)
+        _, take = gather_segments(self.indptr[frontier], self.indptr[frontier + 1])
         return self.indices[take]
 
     def reverse(self) -> "NumpyCSR":

@@ -12,8 +12,8 @@ for an account v against the fraud-seed set S:
 stored procedure runs the two MATCH stages and combines them — exactly
 how a registered stored procedure executes in the real system).
 
-Correctness: :func:`fraud_check` (index-based stored procedure) is
-oracle-checked against DuckDB SQL and against the IR path in tests.
+Correctness: :meth:`FraudDetector.check` (index-based stored procedure)
+is oracle-checked against DuckDB SQL in tests.
 Throughput: :func:`throughput_sweep` drives a process pool (true
 parallelism, the actor-shard analog) — Table 2's worker sweep.
 """
@@ -39,7 +39,16 @@ def fraud_graph(*, n_accounts: int = 500, seed: int = 0, n_seeds: int = 25) -> t
 
 
 class FraudDetector:
-    """Stored-procedure implementation over HiActor's in-memory indexes."""
+    """Stored-procedure implementation over HiActor's in-memory indexes.
+
+    One check is two batched gathers over the account and its friends
+    together — their BUY edges out, then the BUY edges into every item
+    reached — and one membership test of all co-buyers found against
+    the seeds.  That test is a single ``np.isin``, which numpy runs as a
+    lookup table over the seeds' id span when the span is small (ids are
+    dense per label) and by sorting otherwise; a ``searchsorted`` of every
+    co-buyer into the sorted seeds was about 3x slower.
+    """
 
     def __init__(self, engine: HiActorEngine, seeds: np.ndarray,
                  *, w1: float = 1.0, w2: float = 0.5, threshold: float = 2.0,
@@ -48,29 +57,20 @@ class FraudDetector:
         self.seeds = np.asarray(seeds)
         self.w1, self.w2, self.threshold, self.window = w1, w2, threshold, window
 
-    def _co_purchases(self, account: int, *, with_window: bool) -> int:
-        """Rows of (seed buyer, item) co-purchased with ``account``."""
+    def check(self, account: int) -> tuple[bool, int, int]:
         buy = self.e.adj[("BUY", "out")]
         rbuy = self.e.adj[("BUY", "in")]
-        sl = buy.slice(account)
-        items, dates = buy.nbrs[sl], buy.props["date"][sl]
-        total = 0
-        for item, d1 in zip(items, dates):
-            bs = rbuy.slice(item)
-            buyers, d2 = rbuy.nbrs[bs], rbuy.props["date"][bs]
-            ok = np.isin(buyers, self.seeds) & (buyers != account)
-            if with_window:
-                ok &= np.abs(d2 - d1) < self.window
-            total += int(ok.sum())
-        return total
-
-    def check(self, account: int) -> tuple[bool, int, int]:
-        cnt1 = self._co_purchases(account, with_window=True)
-        ak_out = self.e.adj[("AKNOWS", "out")]
-        friends = np.unique(ak_out.neighbors(account))
-        cnt2 = sum(
-            self._co_purchases(int(f), with_window=False) for f in friends
-        )
+        friends = np.unique(self.e.adj[("AKNOWS", "out")].neighbors(account))
+        # owner 0 is the account itself (cnt1), owners 1.. its friends (cnt2)
+        owners = np.concatenate([[account], friends])
+        who, bought = buy.gather(owners)
+        row, sold = rbuy.gather(buy.nbrs[bought])
+        buyer, who = rbuy.nbrs[sold], who[row]
+        ok = np.isin(buyer, self.seeds) & (buyer != owners[who])
+        direct = who == 0
+        near = np.abs(rbuy.props["date"][sold] - buy.props["date"][bought][row]) < self.window
+        cnt1 = int(np.count_nonzero(ok & direct & near))
+        cnt2 = int(np.count_nonzero(ok & ~direct))
         score = self.w1 * cnt1 + self.w2 * cnt2
         return score > self.threshold, cnt1, cnt2
 

@@ -145,3 +145,22 @@ def test_ncn_scores(csr, g):
     assert scores.shape == (32,)
     assert np.isfinite(scores).all()
     assert ((scores >= 0) & (scores <= 1)).all()
+
+
+@pytest.mark.parametrize(
+    "csr, seeds",
+    [
+        # the highest id has no out-edges: its segment starts at the end
+        (NumpyCSR([0, 1], [1, 2], 3), [2]),
+        (NumpyCSR([0, 1], [1, 2], 3), [2, 0, 1]),
+        (NumpyCSR(np.empty(0, np.int64), np.empty(0, np.int64), 4), [0, 3, 1]),
+    ],
+    ids=["highest-id-sink", "sink-among-others", "no-edges"],
+)
+def test_numpy_sampler_zero_degree(csr, seeds):
+    layers = NumpySampler(csr, seed=3).sample_batch(np.asarray(seeds), [4, 2])
+    for parent, child, fan in zip(layers, layers[1:], [4, 2]):
+        assert len(child) == len(parent) * fan
+        for i, v in enumerate(parent):
+            nbrs = set(csr.neighbors(v).tolist()) or {int(v)}
+            assert set(child[i * fan : (i + 1) * fan].tolist()) <= nbrs

@@ -288,3 +288,65 @@ def test_group_order_limit(gaia, pg, catalog):
         """,
         **_tables(pg),
     )
+
+
+# -- HiActor's array operators against the pandas operators they replace ---
+@pytest.fixture(scope="module")
+def odd_table():
+    """Keys with missing values, ties, mixed order; ids not in row order."""
+    import numpy as np
+
+    from repro.datasets.property_graph import PropertyGraph
+
+    g = np.random.default_rng(7)
+    n = 60
+    v = g.normal(size=n)
+    v[::7] = np.nan
+    k1 = g.choice(["b", "a", "c"], n).astype(object)
+    k1[::9] = None
+    t = pd.DataFrame({"id": g.permutation(n) + 100, "k1": k1,
+                      "k2": g.integers(0, 3, n), "v": v, "w": g.integers(0, 50, n)})
+    pg = PropertyGraph()
+    pg.add_vertices("T", t)
+    ref = t.sort_values("id", ignore_index=True)  # the row order Scan yields
+    return HiActorEngine(pg), ref.rename(columns={c: f"t_{c}" for c in ref.columns})
+
+
+def _agg_ref(df, op):
+    fns = {"count": "count", "sum": "sum", "avg": "mean", "min": "min", "max": "max"}
+    g = df.groupby([e.ref.column for e in op.keys], dropna=False, sort=False)
+    cols = {a.name: g.size() if a.ref is None else getattr(g[a.ref.column], fns[a.fn])()
+            for a in op.aggs}
+    return pd.DataFrame(cols).reset_index().rename(
+        columns={e.ref.column: e.name for e in op.keys})
+
+
+@pytest.mark.parametrize("keys", [("k1",), ("k2", "k1")])
+def test_hiactor_groupby_matches_pandas(odd_table, keys):
+    eng, ref = odd_table
+    op = ir.GroupBy(
+        keys=tuple(ir.ProjExpr(ir.Ref("t", k), k) for k in keys),
+        aggs=(ir.AggExpr("count", None, "n"), ir.AggExpr("count", ir.Ref("t", "v"), "nv"),
+              ir.AggExpr("sum", ir.Ref("t", "v"), "s"), ir.AggExpr("avg", ir.Ref("t", "w"), "a"),
+              ir.AggExpr("min", ir.Ref("t", "v"), "lo"), ir.AggExpr("max", ir.Ref("t", "w"), "hi")),
+    )
+    got, want = eng.execute([ir.Scan("T", "t"), op]), _agg_ref(ref, op)
+    # the missing key is the data's None here and NaN in pandas' group index
+    pd.testing.assert_frame_equal(got.where(got.notna(), float("nan")), want, check_dtype=False)
+
+
+@pytest.mark.parametrize("keys", [(("t_k1", False), ("t_w", True)), (("t_v", True),),
+                                  (("t_k2", False), ("t_v", False))])
+def test_hiactor_orderby_matches_pandas(odd_table, keys):
+    eng, ref = odd_table
+    got = eng.execute([ir.Scan("T", "t"), ir.OrderBy(keys)])
+    want = ref.sort_values([k for k, _ in keys], ascending=[a for _, a in keys], kind="stable")
+    pd.testing.assert_frame_equal(got, want.reset_index(drop=True))
+
+
+def test_hiactor_distinct_matches_pandas(odd_table):
+    eng, ref = odd_table
+    exprs = (ir.ProjExpr(ir.Ref("t", "k1"), "k1"), ir.ProjExpr(ir.Ref("t", "k2"), "k2"))
+    got = eng.execute([ir.Scan("T", "t"), ir.Project(exprs, distinct=True)])
+    want = ref[["t_k1", "t_k2"]].set_axis(["k1", "k2"], axis=1).drop_duplicates()
+    pd.testing.assert_frame_equal(got, want.reset_index(drop=True))

@@ -91,3 +91,81 @@ def test_c1_oracle_duckdb(accesses):
     ).fetchall()
     assert [(a, b) for a, b in got] == [(a, b) for a, b in want]
     con.close()
+
+
+# -- the batch gather on degenerate frontiers ------------------------------
+@pytest.fixture(scope="module")
+def knows_index():
+    from repro.query.hiactor import _AdjIndex
+
+    src = np.array([5, 1, 5, 3, 9, 5, 1], dtype=np.int64)
+    dst = np.array([1, 2, 3, 4, 5, 6, 7], dtype=np.int64)
+    return _AdjIndex(src, dst, {"w": dst * 10})
+
+
+@pytest.mark.parametrize(
+    "frontier",
+    [[], [2, 4, 100, -1], [5, 1, 5, 5], [9], [9, 9], [0, 2, 9, 4]],
+    ids=["empty", "absent", "duplicates", "highest-key", "highest-key-twice", "zero-degree"],
+)
+def test_gather_matches_per_vertex_slices(knows_index, frontier):
+    idx = knows_index
+    row, take = idx.gather(np.asarray(frontier, dtype=np.int64))
+    want_row = [i for i, v in enumerate(frontier) for _ in idx.neighbors(v)]
+    want = [n for v in frontier for n in idx.neighbors(v).tolist()]
+    assert row.tolist() == want_row
+    assert idx.nbrs[take].tolist() == want
+    assert idx.props["w"][take].tolist() == [n * 10 for n in want]
+
+
+@pytest.mark.parametrize(
+    "frontier", [[], [2, 4, 10**12], [0, 0, 3], [119], [7, 119, 0]],
+    ids=["empty", "absent", "duplicates", "highest-id", "mixed"],
+)
+@pytest.mark.parametrize("direction", ["out", "in"])
+def test_neighbors_batch_agree(accesses, frontier, direction):
+    _, idx, scan = accesses
+    vids = np.asarray(frontier, dtype=np.int64)
+    want = sorted(
+        (i, int(n)) for i, v in enumerate(frontier) for n in idx.neighbors(v, "KNOWS", direction)
+    )
+    for da in (idx, scan):
+        row, nbrs = da.neighbors_batch(vids, "KNOWS", direction)
+        assert sorted(zip(row.tolist(), nbrs.tolist())) == want
+
+
+# -- indexed and scan access agree after updates at any id -----------------
+def test_queries_agree_after_mid_range_insert():
+    pg = snb.snb_graph(n_persons=80, seed=5)
+    person = pg.vertices["Person"]
+    gone = [30, 31]  # holes in the id range; 30 is re-inserted below
+    pg.vertices["Person"] = person[~person.id.isin(gone)].reset_index(drop=True)
+    idx, scan = si.IndexedAccess(pg), si.ScanAccess(pg)
+    top = int(person.id.max())
+    events = [
+        {"kind": "add_person", "id": 30, "name": "p-mid", "city": "lima", "creationDate": 7},
+        {"kind": "add_knows", "src": 2, "dst": 30, "creationDate": 11},
+        {"kind": "add_knows", "src": 30, "dst": 2, "creationDate": 12},
+        {"kind": "add_knows", "src": 30, "dst": top, "creationDate": 13},
+        {"kind": "add_like", "src": 30, "dst": int(pg.vertices["Post"].id.iloc[0]), "date": 5},
+    ]
+    for ev in events:
+        si.apply_update(idx, ev)
+        si.apply_update(scan, ev)
+    assert idx.vertex("Person", 30) == scan.vertex("Person", 30)
+    assert idx.vertex("Person", 30)["name"] == "p-mid"
+    for absent in (31, top + 1, 10**12, -1):
+        assert idx.vertex("Person", absent) is None
+        assert scan.vertex("Person", absent) is None
+    ids = idx._v["Person"].id.to_numpy()
+    assert np.all(ids[1:] > ids[:-1]), "indexed table lost its id order"
+    for p in [30, 2, 29, top, 0]:
+        for name, fn in si.COMPLEX.items():
+            args = {"C1": ("lima",), "C2": (2500,)}.get(name, ())
+            assert fn(idx, p, *args) == fn(scan, p, *args), f"{name}({p})"
+        for name, fn in si.SHORT.items():
+            q = int(pg.vertices["Post"].id.iloc[0]) if name == "S4" else p
+            assert fn(idx, q) == fn(scan, q), f"{name}({q})"
+    assert ("lima" in si.c3_city_counts(idx, 2)) and (30, "p-mid") in si.c1_friends_in_city(
+        idx, 2, "lima", k=1000
+    )

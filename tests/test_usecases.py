@@ -56,6 +56,54 @@ def test_fraud_cnt2_oracle(fraud_setup):
     assert cnt2 == want
 
 
+def _fraud_oracle(pg, seeds, a: int) -> tuple[int, int]:
+    """(cnt1, cnt2) of account ``a`` in DuckDB SQL."""
+    con = duckdb.connect()
+    con.register("buy", pg.edges["BUY"])
+    con.register("ak", pg.edges["AKNOWS"])
+    in_seeds = f"({','.join(map(str, seeds))})"
+    cnt1 = con.execute(
+        f"""
+        SELECT count(*) FROM buy b1 JOIN buy b2 ON b1.dst = b2.dst
+        WHERE b1.src = ? AND b2.src IN {in_seeds}
+          AND b2.src != b1.src AND abs(b1.date - b2.date) < 5
+        """,
+        [a],
+    ).fetchone()[0]
+    cnt2 = con.execute(
+        f"""
+        WITH friends AS (SELECT DISTINCT dst AS f FROM ak WHERE src = ?)
+        SELECT count(*) FROM friends
+        JOIN buy b1 ON b1.src = friends.f
+        JOIN buy b2 ON b1.dst = b2.dst
+        WHERE b2.src IN {in_seeds} AND b2.src != b1.src
+        """,
+        [a],
+    ).fetchone()[0]
+    con.close()
+    return cnt1, cnt2
+
+
+@pytest.mark.parametrize("case", ["no_friends", "no_purchases", "seed"])
+def test_fraud_oracle_degenerate_accounts(fraud_setup, case):
+    pg, seeds, det = fraud_setup
+    accounts = pg.vertices["Account"].id.to_numpy()
+    buy = pg.edges["BUY"]
+    if case == "no_friends":
+        pick = np.setdiff1d(accounts, pg.edges["AKNOWS"].src)
+    elif case == "no_purchases":
+        pick = np.setdiff1d(accounts, buy.src)
+    else:
+        # a seed that bought something: its own BUY edges meet it as a
+        # seed buyer of the same item, which ``buyer != owner`` excludes
+        pick = np.intersect1d(seeds, buy.src)
+    assert len(pick), f"graph has no {case} account"
+    a = int(pick[0])
+    alert, cnt1, cnt2 = det.check(a)
+    assert (cnt1, cnt2) == _fraud_oracle(pg, seeds, a)
+    assert alert == (det.w1 * cnt1 + det.w2 * cnt2 > det.threshold)
+
+
 def test_fraud_on_gart_stream(spark, fraud_setup):
     """Orders stream into GART; a fresh snapshot sees them (Fig. 6a flow)."""
     pg, seeds, _ = fraud_setup

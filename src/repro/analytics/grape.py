@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from pyspark.sql import Column, DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
 from repro.storage.grin import GraphStore, Trait, require
@@ -129,14 +129,25 @@ class GrapeEngine:
                        columns src, dst, value (sender state) [, weight].
         ``agg``      — message Column -> aggregate Column (combiner).
         ``update``   — (old value, combined msg or NULL) -> new value.
-        ``until_convergence`` — stop early when no vertex value changed
-                       (costs one extra job per superstep).
+        ``until_convergence`` — frontier mode, PIE's IncEval: only the
+                       vertices whose value changed in the previous
+                       superstep send, and the loop stops when none
+                       changed.  The changed rows are counted by an
+                       ``observe`` on the superstep's checkpoint, so the
+                       test costs no Spark job of its own.  Exact only for
+                       monotone, idempotent programs: a ``min``/``max``
+                       combiner with ``least``/``greatest`` updates (BFS,
+                       SSSP, WCC), where an unchanged sender's message was
+                       already absorbed.  Every vertex sends in the first
+                       superstep.
         """
-        state = initial
         cfg = self.config
+        frontier = until_convergence  # IncEval-style: only changed vertices send
+        state = initial.withColumn("_chg", F.lit(True)) if frontier else initial
         for it in range(num_iter):
+            senders = state.filter("_chg").drop("_chg") if frontier else state
             joined = self.edges.join(
-                state.withColumnRenamed("id", "src"), on="src", how="inner"
+                senders.withColumnRenamed("id", "src"), on="src", how="inner"
             )
             if cfg.combine_messages:
                 msgs = joined.groupBy(F.col("dst").alias("id")).agg(
@@ -153,26 +164,19 @@ class GrapeEngine:
                     .localCheckpoint(eager=True)
                 )
                 msgs = raw.groupBy("id").agg(agg(F.col("m")).alias("msg"))
-            new_state = (
-                state.join(msgs, on="id", how="left")
-                .select("id", update(F.col("value"), F.col("msg")).alias("value"))
-            )
+            new_value = update(F.col("value"), F.col("msg"))
+            cols = [new_value.alias("value")]
+            if frontier:
+                cols.append((~new_value.eqNullSafe(F.col("value"))).alias("_chg"))
+            new_state = state.join(msgs, on="id", how="left").select("id", *cols)
+            if frontier:
+                obs = Observation()
+                new_state = new_state.observe(obs, F.count_if("_chg").alias("n"))
             # BSP superstep barrier, the same in every configuration.
             # Every mode truncates lineage — leaving the logical plan to
             # double per superstep would measure Catalyst analysis
             # blowup, not engine architecture.
-            new_state = new_state.localCheckpoint(eager=True)
-            if until_convergence:
-                changed = (
-                    new_state.alias("n")
-                    .join(state.alias("o"), on="id")
-                    .filter("NOT (n.value <=> o.value)")
-                    .limit(1)
-                    .count()
-                )
-                state = new_state
-                if changed == 0:
-                    break
-            else:
-                state = new_state
-        return state
+            state = new_state.localCheckpoint(eager=True)
+            if frontier and not obs.get["n"]:
+                break
+        return state.drop("_chg") if frontier else state

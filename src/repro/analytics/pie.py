@@ -129,57 +129,54 @@ def sssp_pie(engine: PIEEngine, *, source: int) -> DataFrame:
     (id, dist) with unreachable = +inf.
     """
 
-    def local_relax(edges: pd.DataFrame, dist: dict[int, float]) -> tuple[dict, dict]:
-        # run Bellman-Ford over this fragment's edges until fixpoint
-        out_updates: dict[int, float] = {}
-        if not len(edges):
-            return dist, out_updates
-        s = edges.src.to_numpy()
-        d = edges.dst.to_numpy()
-        w = edges.weight.to_numpy()
-        get = np.vectorize(lambda v: dist.get(v, np.inf))
-        for _ in range(len(edges) + 1):
-            ds = get(s)
-            dd = get(d)
-            cand = ds + w
-            better = cand < dd
+    def local_view(edges: pd.DataFrame, state: pd.DataFrame, extra=()):
+        # dense positions over every id the fragment touches; non-owned
+        # ids start at +inf (their distance lives in another fragment)
+        own_ids = state.id.to_numpy(dtype=np.int64)
+        ids = np.unique(np.concatenate(
+            [own_ids, edges.src.to_numpy(np.int64), edges.dst.to_numpy(np.int64), *extra]
+        ))
+        dist = np.full(len(ids), np.inf)
+        own = np.searchsorted(ids, own_ids)
+        dist[own] = state.value.to_numpy(dtype=np.float64)
+        return ids, own, dist
+
+    def local_relax(edges: pd.DataFrame, ids: np.ndarray, dist: np.ndarray) -> np.ndarray:
+        # Bellman-Ford over this fragment's edges until fixpoint, in
+        # place; returns the mask of positions it lowered
+        start = dist.copy()
+        s = np.searchsorted(ids, edges.src.to_numpy(np.int64))
+        d = np.searchsorted(ids, edges.dst.to_numpy(np.int64))
+        w = edges.weight.to_numpy(np.float64)
+        for _ in range(len(w) + 1):
+            cand = dist[s] + w
+            better = cand < dist[d]
             if not better.any():
                 break
-            for t, c in zip(d[better], cand[better]):
-                if c < dist.get(t, np.inf):
-                    dist[int(t)] = float(c)
-                    out_updates[int(t)] = float(c)
-        return dist, out_updates
+            np.minimum.at(dist, d[better], cand[better])
+        return dist < start
+
+    def result(ids, own, dist, lowered):
+        new_state = pd.DataFrame({"id": ids[own], "value": dist[own]})
+        border = lowered.copy()
+        border[own] = False  # only non-owned vertices become messages
+        return new_state, pd.DataFrame({"id": ids[border], "value": dist[border]})
 
     def peval(edges: pd.DataFrame, state: pd.DataFrame):
-        dist = dict(zip(state.id.astype(int), state.value))
-        dist = {k: (0.0 if k == source else np.inf) for k in dist}
-        dist, updates = local_relax(edges, dist)
-        own = set(state.id.astype(int))
-        new_state = pd.DataFrame(
-            {"id": list(own), "value": [dist.get(i, np.inf) for i in own]}
-        )
-        border = {k: v for k, v in updates.items() if k not in own}
-        msgs = pd.DataFrame({"id": list(border), "value": list(border.values())})
-        return new_state, msgs
+        state = state.assign(value=np.where(state.id == source, 0.0, np.inf))
+        ids, own, dist = local_view(edges, state)
+        return result(ids, own, dist, local_relax(edges, ids, dist))
 
     def inceval(edges: pd.DataFrame, state: pd.DataFrame, msgs: pd.DataFrame):
-        dist = dict(zip(state.id.astype(int), state.value))
-        own = set(state.id.astype(int))
-        improved = False
-        for mid, mv in zip(msgs.id.astype(int), msgs.value):
-            if mv < dist.get(mid, np.inf):
-                dist[mid] = float(mv)
-                improved = True
-        updates: dict[int, float] = {}
-        if improved:
-            dist, updates = local_relax(edges, dist)
-        new_state = pd.DataFrame(
-            {"id": list(own), "value": [dist.get(i, np.inf) for i in own]}
-        )
-        border = {k: v for k, v in updates.items() if k not in own}
-        msgs_out = pd.DataFrame({"id": list(border), "value": list(border.values())})
-        return new_state, msgs_out
+        mid = msgs.id.to_numpy(dtype=np.int64)
+        ids, own, dist = local_view(edges, state, (mid,))
+        pos = np.searchsorted(ids, mid)
+        mv = msgs.value.to_numpy(dtype=np.float64)
+        lowered = np.zeros(len(ids), dtype=bool)
+        if (mv < dist[pos]).any():
+            np.minimum.at(dist, pos, mv)
+            lowered = local_relax(edges, ids, dist)
+        return result(ids, own, dist, lowered)
 
     init = engine.vertices.select(
         "id", F.when(F.col("id") == source, 0.0).otherwise(float("inf")).alias("value")

@@ -5,10 +5,11 @@ snapshots* identified by a version, updating under a monotonically
 increasing ``write_version``.  The reproduction keeps the same reader
 structure the paper credits for GART's read performance:
 
-* a **compacted base** — the edge set live at ``base_version``, held as
-  cached, src-clustered Spark frames (the mutable-CSR segment store);
+* a **compacted base** — the edge set live at ``base_version``, one
+  cached, src-clustered Spark frame per label (the mutable-CSR segment
+  store);
 * a small **delta** — inserts after ``base_version``, shipped to Spark
-  per snapshot read; and
+  once per (label, version) as a plain, uncached frame; and
 * **tombstones** — keys deleted after ``base_version``, subtracted from
   the base with an anti-join.
 
@@ -16,7 +17,11 @@ A read at version ``v`` is base ⊖ tombstones(≤v) ⊕ delta(≤v): cheap
 when the delta is small (cost ≈ static CSR, Exp-1b's 73.5%), while the
 LiveGraph baseline must resolve per-record version chains with a
 shuffle on *every* scan.  ``compact()`` folds the delta into a new
-base, exactly like GART's segment compaction.
+base, exactly like GART's segment compaction, rebuilding only the
+labels written since the last base and dropping every memoised delta,
+so the frames Spark caches stay one per edge label however long the
+write stream runs.  There is no cross-label adjacency frame: adjacency
+is the union of the per-label reads.
 
 The full MVCC edge log also lives in driver pandas — the source of
 truth that snapshots and compaction are derived from, and the fast
@@ -54,10 +59,13 @@ class GartStore(GraphStore):
         }
         self._base_version = 0
         self._base_e: dict[str, DataFrame] = {}
-        self._base_adj: DataFrame | None = None
+        # labels written since the base was built; compact() rebuilds these
+        self._dirty: set[str] = set()
         # (label, base_version, version) -> (tombstone DF, delta DF)
         self._delta_cache: dict[tuple, tuple] = {}
-        self._rebuild_base(eager=eager)
+        # label -> vertex frame (vertices are unversioned)
+        self._v_df: dict[str, DataFrame] = {}
+        self._rebuild_base(self._log, eager=eager)
 
     # ------------------------------------------------------------------
     # write path
@@ -76,6 +84,7 @@ class GartStore(GraphStore):
         rows["cv"] = np.int64(self._write_version)
         rows["dv"] = np.int64(LIVE)
         self._log[label] = pd.concat([self._log[label], rows], ignore_index=True)
+        self._dirty.add(label)
         return self._write_version
 
     def delete_edges(self, label: str, keys: pd.DataFrame) -> int:
@@ -88,41 +97,39 @@ class GartStore(GraphStore):
             & (log.dv == LIVE)
         )
         log.loc[mask, "dv"] = np.int64(self._write_version)
+        self._dirty.add(label)
         return self._write_version
 
     def insert_vertices(self, label: str, pdf: pd.DataFrame) -> int:
         self._write_version += 1
         self._v_pdf[label] = pd.concat([self._v_pdf[label], pdf], ignore_index=True)
+        self._v_df.pop(label, None)
         return self._write_version
 
     def compact(self, *, eager: bool = True) -> None:
-        """Fold delta+tombstones into a fresh base at the current version."""
-        self._base_version = self._write_version
-        self._rebuild_base(eager=eager)
+        """Fold delta+tombstones into a fresh base at the current version.
 
-    def _rebuild_base(self, *, eager: bool) -> None:
+        Only labels written since the last base are rebuilt: an unwritten
+        label's base is already its edge set at the new version.
+        """
+        self._base_version = self._write_version
+        self._delta_cache.clear()
+        self._rebuild_base(sorted(self._dirty), eager=eager)
+        self._dirty.clear()
+
+    def _rebuild_base(self, labels, *, eager: bool) -> None:
         vb = self._base_version
-        for df in self._base_e.values():
-            df.unpersist()
-        if self._base_adj is not None:
-            self._base_adj.unpersist()
-        parts = []
-        for label, log in self._log.items():
+        for label in labels:
+            old = self._base_e.get(label)
+            if old is not None:
+                old.unpersist()
+            log = self._log[label]
             live = log[(log.cv <= vb) & (log.dv > vb)].drop(columns=["cv", "dv"])
             sdf = self._spark.createDataFrame(live)
-            self._base_e[label] = sdf.repartition("src").sortWithinPartitions("src").cache()
-            parts.append(live[["src", "dst"]].assign(label=label))
-        flat = pd.concat(parts, ignore_index=True)
-        self._base_adj = (
-            self._spark.createDataFrame(flat)
-            .repartition("src")
-            .sortWithinPartitions("src")
-            .cache()
-        )
-        if eager:
-            for df in self._base_e.values():
-                df.count()
-            self._base_adj.count()
+            base = sdf.repartition("src").sortWithinPartitions("src").cache()
+            if eager:
+                base.count()
+            self._base_e[label] = base
 
     # ------------------------------------------------------------------
     # read path (GraphStore surface == latest consistent snapshot)
@@ -205,7 +212,10 @@ class GartSnapshot(GraphStore):
         return self._s.edge_signature(label)
 
     def vertices(self, label: str, *, predicate: str | None = None) -> DataFrame:
-        df = self._s._spark.createDataFrame(self._s._v_pdf[label])
+        s = self._s
+        df = s._v_df.get(label)
+        if df is None:
+            df = s._v_df[label] = s._spark.createDataFrame(s._v_pdf[label])
         return df.filter(predicate) if predicate else df
 
     def _resolved(self, label: str, cols_with_props: bool) -> DataFrame:
@@ -214,8 +224,11 @@ class GartSnapshot(GraphStore):
         Tombstones are applied with a *broadcast* anti-join: in GART
         they are a small in-memory set checked inline during the scan,
         so the scan must not pay a shuffle for them.  The delta/tomb
-        frames are memoized per (label, version) — GART keeps the delta
-        resident; it is not re-shipped on every read.
+        frames are memoized per (label, base version, version), so the
+        delta is shipped to Spark once per version, not on every read.
+        They are plain local frames, neither cached nor counted: they
+        are small, and a frame Spark caches would outlive the version.
+        ``compact()`` drops them all.
         """
         s, v, vb = self._s, self.version, self._s._base_version
         key = (label, vb, v)
@@ -226,12 +239,9 @@ class GartSnapshot(GraphStore):
             delta = log[(log.cv > vb) & (log.cv <= v) & (log.dv > v)].drop(
                 columns=["cv", "dv"]
             )
-            tomb_df = s._spark.createDataFrame(tomb).cache() if len(tomb) else None
-            delta_df = s._spark.createDataFrame(delta).cache() if len(delta) else None
-            for df in (tomb_df, delta_df):
-                if df is not None:
-                    df.count()
-            cached = (tomb_df, delta_df)
+            cached = tuple(
+                s._spark.createDataFrame(p) if len(p) else None for p in (tomb, delta)
+            )
             s._delta_cache[key] = cached
         tomb_df, delta_df = cached
         base = s._base_e[label]

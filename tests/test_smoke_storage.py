@@ -101,3 +101,56 @@ def test_static_csr_and_numpy(spark):
     assert set(csr.neighbors(v)) == set(dense.query("src == @v").dst)
     f = np.array([0, 1], dtype=np.int64)
     assert len(csr.neighbors_batch(f)) == csr.degree(0) + csr.degree(1)
+
+
+def test_gart_cache_bounded_and_snapshots(spark, pg):
+    """Insert, read at the new version and compact, five times: the
+    frames Spark holds cached do not grow.  Afterwards, snapshots at
+    versions between the base and the latest equal a pandas model of
+    the log (inserts append, a delete removes every live copy)."""
+    store = GartStore(spark, pg)
+    model = {l: [pg.edges[l][["src", "dst"]]] for l in ("KNOWS", "LIKES")}
+    history = {}  # version -> {label: live (src, dst) multiset}
+
+    def cached_frames():
+        return spark._jsparkSession.sharedState().cacheManager().cachedData().length()
+
+    def write(label, rows=None, gone=None):
+        if gone is None:
+            v = store.insert_edges(label, rows)
+            model[label].append(rows[["src", "dst"]])
+        else:
+            v = store.delete_edges(label, gone)
+            live = pd.concat(model[label], ignore_index=True)
+            key = pd.MultiIndex.from_frame(live).isin(pd.MultiIndex.from_frame(gone))
+            model[label] = [live[~key]]
+        history[v] = {l: sorted(map(tuple, pd.concat(p).itertuples(index=False)))
+                      for l, p in model.items()}
+        return v
+
+    def check(v):
+        for label, want in history[v].items():
+            got = store.snapshot(v).edges(label).select("src", "dst").collect()
+            assert sorted((r.src, r.dst) for r in got) == want, (label, v)
+
+    counts = []
+    for cycle in range(5):
+        s = snb.PERSON_BASE + cycle
+        knows = pd.DataFrame({"src": [s, s], "dst": [s + 1, s + 2], "creationDate": [9000 + cycle] * 2})
+        v = write("KNOWS", knows)
+        check(v)
+        if cycle % 2:  # a label written by a delete only must be rebuilt too
+            v = write("LIKES", gone=pg.edges["LIKES"].iloc[[cycle]][["src", "dst"]])
+        store.compact()
+        check(v)
+        counts.append(cached_frames())
+    assert counts[-1] == counts[0], counts
+
+    likes = pg.edges["LIKES"].head(3).assign(date=9999)  # duplicates of live keys
+    v1 = write("LIKES", likes)
+    v2 = write("KNOWS", gone=pg.edges["KNOWS"].head(4)[["src", "dst"]])
+    v3 = write("KNOWS", pg.edges["KNOWS"].head(1))
+    v4 = write("LIKES", gone=likes.head(1)[["src", "dst"]])
+    assert store.snapshot().version == v4
+    for v in (v1, v2, v3, v4):
+        check(v)

@@ -3,7 +3,8 @@
 The paper's ``flexbuild`` utility lets users pick numbered components
 (Fig. 3's ①–㉔) and build a tailored deployment.  The reproduction
 keeps the same component ids and the same compatibility logic: each
-engine component declares the GRIN traits it requires, and
+engine component declares the GRIN traits it requires, each storage
+component provides the ``TRAITS`` its store class declares, and
 :func:`flexbuild` validates a selection and returns a :class:`Stack`
 whose factories construct exactly the chosen pieces.
 
@@ -16,7 +17,8 @@ Examples from the paper (§3, "flexbuild and Customized Deployments"):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import importlib
+from dataclasses import dataclass
 
 from repro.storage.grin import Trait
 
@@ -48,12 +50,12 @@ REGISTRY: dict[str, tuple[str, str, object]] = {
     "C24": ("Static CSR", "storage", "repro.storage.csr.StaticCSRStore"),
 }
 
-_STORAGE_TRAITS: dict[str, Trait] = {
-    "C21": Trait.TOPOLOGY | Trait.PROPERTY | Trait.INDEX | Trait.MUTABLE | Trait.VERSIONED | Trait.PREDICATE_PUSHDOWN | Trait.PARTITION,
-    "C22": Trait.TOPOLOGY | Trait.PROPERTY | Trait.INDEX | Trait.PREDICATE_PUSHDOWN | Trait.PARTITION,
-    "C23": Trait.TOPOLOGY | Trait.PROPERTY | Trait.INDEX | Trait.PREDICATE_PUSHDOWN | Trait.PARTITION,
-    "C24": Trait.TOPOLOGY | Trait.PARTITION | Trait.INDEX,
-}
+
+def storage_traits(component: str) -> Trait:
+    """GRIN traits of a storage component: the ``TRAITS`` its store
+    class declares (the class ``REGISTRY`` names)."""
+    module, cls = REGISTRY[component][2].rsplit(".", 1)
+    return getattr(importlib.import_module(module), cls).TRAITS
 
 
 @dataclass
@@ -94,7 +96,7 @@ def flexbuild(*components: str) -> Stack:
         needed = REGISTRY[e][2]
         if not isinstance(needed, Trait):
             continue
-        if not any(needed & ~_STORAGE_TRAITS[s] == Trait(0) for s in storages):
+        if not any(needed & ~storage_traits(s) == Trait(0) for s in storages):
             raise IncompatibleStack(
                 f"engine {REGISTRY[e][0]} requires traits {needed!r} that no "
                 f"selected storage provides"

@@ -12,13 +12,17 @@ concurrent actors.  The analog here: a driver-local engine holding
   one batch gather (:meth:`_AdjIndex.gather`),
 
 built once from any GRIN store's :meth:`to_property_graph` view (the
-Vineyard/GART zero-copy sharing path).  The same physical plans Gaia
-runs distributed execute here, each operator vectorised over all rows
-of the query; tests assert both engines return identical rows.  The
-SNB-interactive queries (:mod:`repro.query.snb_interactive`) and the
-fraud check (:mod:`repro.usecases.fraud`) read the same two structures.
-The fraud benchmark's throughput sweep uses a process pool (true
-parallelism), the analog of HiActor's shard-per-core loop.
+Vineyard/GART zero-copy sharing path).  It is the only driver-local
+OLTP index.  The same physical plans Gaia runs distributed execute
+here, each operator vectorised over all rows of the query; tests assert
+both engines return identical rows.  Besides plans, the engine serves
+point and batch reads and copy-on-write writes (``vertex``,
+``neighbors_batch``, ``add_edge``, ...): the SNB-interactive queries
+(:mod:`repro.query.snb_interactive`) run on them, and the fraud check
+(:mod:`repro.usecases.fraud`) reads the same two structures.  A write
+is visible to every later plan and read.  The fraud benchmark's
+throughput sweep uses a process pool (true parallelism), the analog of
+HiActor's shard-per-core loop.
 """
 from __future__ import annotations
 
@@ -62,6 +66,19 @@ class _AdjIndex:
         return gather_segments(
             np.searchsorted(self.keys, vids, "left"), np.searchsorted(self.keys, vids, "right")
         )
+
+    def insert(self, key: int, nbr: int, props: dict) -> _AdjIndex:
+        """A copy with the entry ``key -> nbr`` added after the entries
+        of ``key`` (a property missing from ``props`` is 0).  Like
+        :meth:`_VertexTable.insert`, the index itself never changes, so
+        a reader holding it sees keys, neighbours and properties of one
+        version."""
+        pos = int(np.searchsorted(self.keys, key, "right"))
+        new = object.__new__(_AdjIndex)  # already in key order: no sort
+        new.keys = np.insert(self.keys, pos, key)
+        new.nbrs = np.insert(self.nbrs, pos, nbr)
+        new.props = {c: np.insert(a, pos, props.get(c, 0)) for c, a in self.props.items()}
+        return new
 
 
 class _VertexTable:
@@ -109,7 +126,14 @@ def find_rows(ids: np.ndarray, vids) -> tuple[np.ndarray, np.ndarray]:
 
 
 class HiActorEngine:
-    """In-memory interpreter for physical GraphIR plans."""
+    """In-memory interpreter for physical GraphIR plans, and the access
+    path of the SNB-interactive queries over the same structures.
+
+    Writes are copy-on-write: each one builds a new table or index and
+    swaps it into ``tables``/``adj`` in one assignment, so a reader that
+    took a structure sees one version of it (the benchmarks drive reads
+    and updates from a worker pool).
+    """
 
     def __init__(self, pg: PropertyGraph):
         self.signatures = dict(pg.edge_signatures)
@@ -127,6 +151,68 @@ class HiActorEngine:
     def vprops(self) -> dict[str, pd.DataFrame]:
         """Every vertex property, one frame per label."""
         return {l: t.frame for l, t in self.tables.items()}
+
+    # -- point and batch reads -----------------------------------------
+    def vertex(self, label: str, vid: int) -> dict | None:
+        """Every property of one vertex, or ``None`` when it is absent."""
+        t = self.tables[label]
+        pos, _ = t.find([vid])
+        if not len(pos):
+            return None
+        return {c: a[pos[0] : pos[0] + 1].tolist()[0] for c, a in t.cols.items()}
+
+    def vertex_props(
+        self, label: str, vids, props: list[str]
+    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """Properties of many vertices: ``(hit, cols)`` where ``hit`` masks
+        the entries of ``vids`` that exist and ``cols[p]`` holds property
+        ``p`` of ``vids[hit]``, in that order."""
+        t = self.tables[label]  # one consistent version of the table
+        pos, hit = t.find(vids)
+        return hit, {c: t.cols[c][pos] for c in props}
+
+    def neighbors(self, vid: int, elabel: str, direction: str) -> np.ndarray:
+        if direction == "both":
+            return np.concatenate(
+                [self.neighbors(vid, elabel, "out"), self.neighbors(vid, elabel, "in")]
+            )
+        return self.adj[(elabel, direction)].neighbors(vid)
+
+    def neighbors_batch(
+        self, vids, elabel: str, direction: str
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbours of many vertices (``direction`` "out" or "in"):
+        ``(row, nbrs)`` with one entry per edge, ``row`` indexing the
+        entry of ``vids`` the edge starts from.  An id listed twice gets
+        its edges twice, as in a join; the order of edges is unspecified."""
+        idx = self.adj[(elabel, direction)]
+        row, take = idx.gather(vids)
+        return row, idx.nbrs[take]
+
+    def neighbors_with_prop(
+        self, vid: int, elabel: str, direction: str, prop: str
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbours of one vertex and edge property ``prop`` of each edge."""
+        if direction == "both":
+            n1, p1 = self.neighbors_with_prop(vid, elabel, "out", prop)
+            n2, p2 = self.neighbors_with_prop(vid, elabel, "in", prop)
+            return np.concatenate([n1, n2]), np.concatenate([p1, p2])
+        idx = self.adj[(elabel, direction)]
+        sl = idx.slice(vid)
+        return idx.nbrs[sl], idx.props[prop][sl]
+
+    def find_vertices(self, label: str, prop: str, value) -> np.ndarray:
+        """Ids of the vertices of ``label`` whose ``prop`` equals ``value``."""
+        cols = self.tables[label].cols
+        return cols["id"][cols[prop] == value]
+
+    # -- writes ----------------------------------------------------------
+    def add_vertex(self, label: str, row: dict) -> None:
+        self.tables[label] = self.tables[label].insert(row)
+
+    def add_edge(self, elabel: str, src: int, dst: int, props: dict) -> None:
+        for d, key, nbr in (("out", src, dst), ("in", dst, src)):
+            self.adj[(elabel, d)] = self.adj[(elabel, d)].insert(key, nbr, props)
 
     # -- plan interpretation -------------------------------------------
     # Between operators a relation is a dict of equal-length column

@@ -27,6 +27,7 @@ class StaticCSRStore(GraphStore):
     """Immutable simple-graph store: one cached, src-clustered edge frame."""
 
     name = "csr"
+    TRAITS = Trait.TOPOLOGY | Trait.PARTITION | Trait.INDEX
     _LABEL = "_edge"
 
     def __init__(self, spark: SparkSession, edges: pd.DataFrame, *, eager: bool = True):
@@ -40,9 +41,6 @@ class StaticCSRStore(GraphStore):
         if eager:
             self._adj.count()
             self._v.count()
-
-    def traits(self) -> Trait:
-        return Trait.TOPOLOGY | Trait.PARTITION | Trait.INDEX
 
     def vertex_labels(self) -> list[str]:
         return ["_vertex"]

@@ -45,6 +45,10 @@ class GartStore(GraphStore):
     """Dynamic MVCC store. All reads go through a consistent snapshot."""
 
     name = "gart"
+    TRAITS = (
+        Trait.TOPOLOGY | Trait.PROPERTY | Trait.PARTITION | Trait.INDEX
+        | Trait.PREDICATE_PUSHDOWN | Trait.MUTABLE | Trait.VERSIONED
+    )
 
     def __init__(self, spark: SparkSession, pg: PropertyGraph, *, eager: bool = True):
         self._spark = spark
@@ -134,17 +138,6 @@ class GartStore(GraphStore):
     # ------------------------------------------------------------------
     # read path (GraphStore surface == latest consistent snapshot)
     # ------------------------------------------------------------------
-    def traits(self) -> Trait:
-        return (
-            Trait.TOPOLOGY
-            | Trait.PROPERTY
-            | Trait.PARTITION
-            | Trait.INDEX
-            | Trait.PREDICATE_PUSHDOWN
-            | Trait.MUTABLE
-            | Trait.VERSIONED
-        )
-
     def vertex_labels(self) -> list[str]:
         return list(self._v_pdf)
 
@@ -194,13 +187,11 @@ class GartSnapshot(GraphStore):
     """Consistent read view at one version: base ⊖ tombstones ⊕ delta."""
 
     name = "gart"
+    TRAITS = GartStore.TRAITS
 
     def __init__(self, store: GartStore, version: int):
         self._s = store
         self.version = version
-
-    def traits(self) -> Trait:
-        return self._s.traits()
 
     def vertex_labels(self) -> list[str]:
         return self._s.vertex_labels()

@@ -228,6 +228,9 @@ class GraphArStore(GraphStore):
     """
 
     name = "graphar"
+    TRAITS = (
+        Trait.TOPOLOGY | Trait.PROPERTY | Trait.PARTITION | Trait.INDEX | Trait.PREDICATE_PUSHDOWN
+    )
 
     def __init__(self, spark: SparkSession, root: str | Path, *, use_datasource: bool = True):
         self._spark = spark
@@ -236,15 +239,6 @@ class GraphArStore(GraphStore):
         self._use_ds = use_datasource
         if use_datasource:
             register_datasource(spark)
-
-    def traits(self) -> Trait:
-        return (
-            Trait.TOPOLOGY
-            | Trait.PROPERTY
-            | Trait.PARTITION
-            | Trait.INDEX
-            | Trait.PREDICATE_PUSHDOWN
-        )
 
     def vertex_labels(self) -> list[str]:
         return list(self._meta["vertex_labels"])

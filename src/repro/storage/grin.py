@@ -4,7 +4,7 @@ The paper defines GRIN as a C-language interface whose *traits*
 (topology / property / partition / index / predicate / common) let any
 execution engine run unchanged on any storage backend that provides the
 traits it needs.  Here GRIN is a Python ABC over Spark DataFrames: each
-backend advertises a trait set, and the engines (Gaia, HiActor, GRAPE,
+backend class declares its trait set as ``TRAITS``, and the engines (Gaia, HiActor, GRAPE,
 GraphLearn) are written once against :class:`GraphStore` only —
 reproducing the architectural property measured in Exp-1.
 
@@ -41,10 +41,11 @@ class GraphStore(ABC):
     """Engine-facing view of one graph in one storage backend."""
 
     name: str = "abstract"
+    TRAITS: Trait  # each backend declares its capability set once
 
-    @abstractmethod
     def traits(self) -> Trait:
-        """Capability set this backend provides."""
+        """Capability set this backend provides: its class's ``TRAITS``."""
+        return self.TRAITS
 
     def supports(self, t: Trait) -> bool:
         return bool(self.traits() & t)

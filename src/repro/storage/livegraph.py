@@ -28,6 +28,7 @@ class LiveGraphStore(GraphStore):
     """Dynamic store whose scans resolve version chains on the fly."""
 
     name = "livegraph"
+    TRAITS = Trait.TOPOLOGY | Trait.PROPERTY | Trait.MUTABLE | Trait.VERSIONED
 
     def __init__(self, spark: SparkSession, pg: PropertyGraph, *, eager: bool = True):
         self._spark = spark
@@ -83,9 +84,6 @@ class LiveGraphStore(GraphStore):
         return self._write_version
 
     # -- read path ------------------------------------------------------
-    def traits(self) -> Trait:
-        return Trait.TOPOLOGY | Trait.PROPERTY | Trait.MUTABLE | Trait.VERSIONED
-
     def vertex_labels(self) -> list[str]:
         return list(self._v_pdf)
 

@@ -24,6 +24,9 @@ class VineyardStore(GraphStore):
     """Immutable in-memory store; the fastest backend in Exp-1."""
 
     name = "vineyard"
+    TRAITS = (
+        Trait.TOPOLOGY | Trait.PROPERTY | Trait.PARTITION | Trait.INDEX | Trait.PREDICATE_PUSHDOWN
+    )
 
     def __init__(self, spark: SparkSession, pg: PropertyGraph, *, eager: bool = True):
         self._spark = spark
@@ -46,15 +49,6 @@ class VineyardStore(GraphStore):
         if eager:  # immutable store: pay materialization once, up front
             for df in [*self._v.values(), *self._e.values(), self._adj_out, self._adj_in]:
                 df.count()
-
-    def traits(self) -> Trait:
-        return (
-            Trait.TOPOLOGY
-            | Trait.PROPERTY
-            | Trait.PARTITION
-            | Trait.INDEX
-            | Trait.PREDICATE_PUSHDOWN
-        )
 
     def vertex_labels(self) -> list[str]:
         return list(self._v)

@@ -64,7 +64,7 @@ def test_workload_runs_on_both(accesses):
     pg, idx, scan = accesses
     ops = si.make_workload(pg, n_ops=60, seed=3)
     for name, fn in ops:
-        ra = fn(si.IndexedAccess(pg) if False else idx)
+        ra = fn(idx)
         rb = fn(scan)
         if not name.startswith("U_"):
             assert type(ra) is type(rb)
@@ -94,25 +94,44 @@ def test_c1_oracle_duckdb(accesses):
 
 
 # -- the batch gather on degenerate frontiers ------------------------------
-@pytest.fixture(scope="module")
-def knows_index():
+EDGES = [(5, 1), (1, 2), (5, 3), (3, 4), (9, 5), (5, 6), (1, 7)]  # (src, dst)
+
+
+def _knows_index(built, inserted):
+    """An index built from the edges ``built`` in one go, then given the
+    edges ``inserted`` one ``_AdjIndex.insert`` at a time."""
     from repro.query.hiactor import _AdjIndex
 
-    src = np.array([5, 1, 5, 3, 9, 5, 1], dtype=np.int64)
-    dst = np.array([1, 2, 3, 4, 5, 6, 7], dtype=np.int64)
-    return _AdjIndex(src, dst, {"w": dst * 10})
+    src = np.array([s for s, _ in built], dtype=np.int64)
+    dst = np.array([d for _, d in built], dtype=np.int64)
+    idx = _AdjIndex(src, dst, {"w": dst * 10})
+    for s, d in inserted:
+        idx = idx.insert(s, d, {"w": d * 10})
+    return idx
 
 
 @pytest.mark.parametrize(
-    "frontier",
-    [[], [2, 4, 100, -1], [5, 1, 5, 5], [9], [9, 9], [0, 2, 9, 4]],
-    ids=["empty", "absent", "duplicates", "highest-key", "highest-key-twice", "zero-degree"],
+    "frontier, built, inserted",
+    [
+        ([], EDGES, ()),
+        ([2, 4, 100, -1], EDGES, ()),
+        ([5, 1, 5, 5], EDGES, ()),
+        ([9], EDGES, ()),
+        ([9, 9], EDGES, ()),
+        ([0, 2, 9, 4], EDGES, ()),
+        ([12, 9, 5, 12], EDGES, [(12, 8), (9, 9), (12, 2)]),
+        ([5, 1, 9, 0, 5], [], EDGES),
+    ],
+    ids=["empty", "absent", "duplicates", "highest-key", "highest-key-twice", "zero-degree",
+         "insert-at-highest-key", "insert-into-empty"],
 )
-def test_gather_matches_per_vertex_slices(knows_index, frontier):
-    idx = knows_index
+def test_gather_matches_per_vertex_slices(frontier, built, inserted):
+    idx = _knows_index(built, inserted)
+    edges = [*built, *inserted]  # a key's entries keep their arrival order
     row, take = idx.gather(np.asarray(frontier, dtype=np.int64))
-    want_row = [i for i, v in enumerate(frontier) for _ in idx.neighbors(v)]
-    want = [n for v in frontier for n in idx.neighbors(v).tolist()]
+    want_row = [i for i, v in enumerate(frontier) for s, _ in edges if s == v]
+    want = [d for v in frontier for s, d in edges if s == v]
+    assert [n for v in frontier for n in idx.neighbors(v).tolist()] == want
     assert row.tolist() == want_row
     assert idx.nbrs[take].tolist() == want
     assert idx.props["w"][take].tolist() == [n * 10 for n in want]
@@ -157,7 +176,7 @@ def test_queries_agree_after_mid_range_insert():
     for absent in (31, top + 1, 10**12, -1):
         assert idx.vertex("Person", absent) is None
         assert scan.vertex("Person", absent) is None
-    ids = idx._v["Person"].id.to_numpy()
+    ids = idx.vprops["Person"].id.to_numpy()
     assert np.all(ids[1:] > ids[:-1]), "indexed table lost its id order"
     for p in [30, 2, 29, top, 0]:
         for name, fn in si.COMPLEX.items():
@@ -169,3 +188,62 @@ def test_queries_agree_after_mid_range_insert():
     assert ("lima" in si.c3_city_counts(idx, 2)) and (30, "p-mid") in si.c1_friends_in_city(
         idx, 2, "lima", k=1000
     )
+
+
+# -- writes through the engine reach its IR plans --------------------------
+def test_engine_writes_visible_to_ir_plans():
+    import duckdb
+    import pandas as pd
+
+    from repro.query.catalog import Catalog
+    from repro.query.cypher import parse_cypher
+    from repro.query.gremlin import parse_gremlin
+    from repro.query.hiactor import HiActorEngine
+    from repro.query.planner import compile_plan
+
+    pg = snb.snb_graph(n_persons=80, seed=5)
+    person = pg.vertices["Person"]
+    pg.vertices["Person"] = person[person.id != 30].reset_index(drop=True)
+    top = int(person.id.max())
+    new = {"id": 30, "name": "p-mid", "city": "lima", "creationDate": 7}
+    knows = [(2, 30, 11), (30, top, 13), (top, 30, 14), (30, 2, 15)]
+    engine, scan = HiActorEngine(pg), si.ScanAccess(pg)
+    for da in (engine, scan):
+        da.add_vertex("Person", new)
+        for s, d, t in knows:
+            da.add_edge("KNOWS", s, d, {"creationDate": t})
+    catalog = Catalog(
+        {l: len(p) for l, p in pg.vertices.items()},
+        {l: len(p) for l, p in pg.edges.items()},
+        dict(pg.edge_signatures),
+    )
+    con = duckdb.connect()
+    con.register("person", pd.concat([pg.vertices["Person"], pd.DataFrame([new])]))
+    con.register("knows", pd.concat(
+        [pg.edges["KNOWS"], pd.DataFrame(knows, columns=["src", "dst", "creationDate"])]
+    ))
+    for p in (2, 30, top):
+        for d, arrow, key, other in (("out", "-[:KNOWS]->", "src", "dst"),
+                                     ("in", "<-[:KNOWS]-", "dst", "src")):
+            plan = parse_cypher(
+                f"MATCH (a:Person){arrow}(b:Person) WHERE a.id = {p} "
+                "RETURN b.id AS id, b.name AS name"
+            )
+            got = engine.execute(compile_plan(plan, catalog=catalog, rbo=True, cbo=True))
+            got = sorted(zip(got["id"].tolist(), got["name"].tolist()))
+            want = sorted(
+                (int(n), scan.vertex("Person", n)["name"]) for n in scan.neighbors(p, "KNOWS", d)
+            )
+            sql = con.execute(
+                f"SELECT b.id, b.name FROM knows k JOIN person b ON b.id = k.{other} "
+                f"WHERE k.{key} = ?", [p],
+            ).fetchall()
+            assert got == want == sorted(sql), (p, d)
+            if p != 30:  # every other start reaches the new person both ways
+                assert (30, "p-mid") in got, (p, d)
+        plan = parse_gremlin(f"g.V('Person').hasId({p}).out('KNOWS').values('name')",
+                             pg.edge_signatures)
+        names = engine.execute(compile_plan(plan, catalog=catalog, rbo=True, cbo=True))
+        assert sorted(names.iloc[:, 0].tolist()) == sorted(
+            scan.vertex("Person", n)["name"] for n in scan.neighbors(p, "KNOWS", "out")
+        ), p

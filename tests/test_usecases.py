@@ -4,9 +4,13 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.flexbuild import WORKLOAD2, WORKLOAD5, IncompatibleStack, flexbuild
+from repro.flexbuild import WORKLOAD2, WORKLOAD5, IncompatibleStack, flexbuild, storage_traits
 from repro.query.hiactor import HiActorEngine
-from repro.storage.gart import GartStore
+from repro.storage.csr import StaticCSRStore
+from repro.storage.gart import GartSnapshot, GartStore
+from repro.storage.graphar import GraphArStore
+from repro.storage.grin import Trait
+from repro.storage.vineyard import VineyardStore
 from repro.usecases import cybersec, equity, fraud
 
 
@@ -191,6 +195,19 @@ def test_flexbuild_workloads():
     assert "GRAPE" in s2.describe()
     s5 = flexbuild(*WORKLOAD5)
     assert "Gaia" in s5.describe() and "GraphAr" in s5.describe()
+    # a storage component's traits are those its store class declares,
+    # and they are what flexbuild's own table held before
+    T = Trait
+    served = T.TOPOLOGY | T.PROPERTY | T.INDEX | T.PREDICATE_PUSHDOWN | T.PARTITION
+    want = {
+        "C21": (GartStore, served | T.MUTABLE | T.VERSIONED),
+        "C22": (VineyardStore, served),
+        "C23": (GraphArStore, served),
+        "C24": (StaticCSRStore, T.TOPOLOGY | T.PARTITION | T.INDEX),
+    }
+    for c, (cls, traits) in want.items():
+        assert storage_traits(c) == cls.TRAITS == traits, c
+    assert GartSnapshot.TRAITS == GartStore.TRAITS
 
 
 def test_flexbuild_rejects_bad_stacks():

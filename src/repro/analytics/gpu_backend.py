@@ -32,23 +32,27 @@ from repro.storage.csr import NumpyCSR
 # GraphScope Flex GPU-analog: segmented reductions over CSC/CSR
 # ---------------------------------------------------------------------------
 def flexgpu_pagerank(csr: NumpyCSR, *, alpha: float = 0.85, num_iter: int = 10) -> np.ndarray:
-    """Segment-sum kernel over the CSC layout.
+    """Segmented-reduction kernel over the CSC layout.
 
-    Edges are pre-sorted by destination (the GPU-friendly layout), so
-    the per-destination reduction is one coalesced weighted-histogram
-    kernel (``np.bincount`` = the segmented-reduction primitive) —
-    no per-edge atomics.
+    Edges are pre-sorted by destination (the GPU-friendly layout), so the
+    in-edges of each vertex are one contiguous segment and the
+    per-destination sum is one ``np.add.reduceat`` over the segment
+    starts: no per-edge atomics and no scatter.  ``reduceat`` returns an
+    element, not 0, for an empty segment, so only the vertices with
+    in-edges are reduced and the others keep 0.
     """
     n = csr.n
     deg = csr.degrees().astype(np.float64)
     csc = csr.reverse()  # edges sorted by destination
-    dst_sorted = csc.src_sorted  # destination of each edge, ascending
-    src_of = csc.indices  # matching source endpoints
+    src_of = csc.indices  # source of each edge, in destination order
+    has_in = np.flatnonzero(np.diff(csc.indptr))  # the non-empty segments
+    starts = csc.indptr[has_in]
     rank = np.full(n, 1.0 / n)
     safe_deg = np.maximum(deg, 1)
+    incoming = np.zeros(n)
     for _ in range(num_iter):
         contrib = np.where(deg > 0, rank / safe_deg, 0.0)
-        incoming = np.bincount(dst_sorted, weights=contrib[src_of], minlength=n)
+        incoming[has_in] = np.add.reduceat(contrib[src_of], starts)
         rank = (1 - alpha) / n + alpha * incoming
     return rank
 

@@ -100,25 +100,26 @@ class GraphSAGE:
             b_out=dlogits.sum(axis=0),
         )
         grads_h = [dlogits @ self.p.w_out.T]  # grad w.r.t. hs after last layer
-        L = self.n_layers
-        for l in reversed(range(L)):
+        for l in reversed(range(self.n_layers)):
             level_cache = cache[l]
-            new_grads = [np.zeros_like(c[0]) for c in level_cache]
-            new_grads.append(
-                np.zeros((len(level_cache[-1][1]) * self.fanouts[len(level_cache) - 1],
-                          level_cache[-1][1].shape[1]))
-            )
-            for k, (h_self, h_nbr, z) in enumerate(level_cache):
-                dz = grads_h[k] * (z > 0)
+            dzs = [grads_h[k] * (z > 0) for k, (_, _, z) in enumerate(level_cache)]
+            for (h_self, h_nbr, _), dz in zip(level_cache, dzs):
                 g.w_self[l] += h_self.T @ dz
                 g.w_nbr[l] += h_nbr.T @ dz
                 g.b[l] += dz.sum(axis=0)
-                new_grads[k] += dz @ self.p.w_self[l].T
+            if l == 0:
+                break  # layer 0's inputs are the sampled features: no gradient needed
+            grads_h = [np.zeros_like(c[0]) for c in level_cache]
+            grads_h.append(
+                np.zeros((len(level_cache[-1][1]) * self.fanouts[len(level_cache) - 1],
+                          level_cache[-1][1].shape[1]))
+            )
+            for k, dz in enumerate(dzs):
+                grads_h[k] += dz @ self.p.w_self[l].T
                 fan = self.fanouts[k]
                 # mean-aggregation backprop: broadcast /fan to each child
                 dnbr = (dz @ self.p.w_nbr[l].T) / fan
-                new_grads[k + 1] += np.repeat(dnbr, fan, axis=0)
-            grads_h = new_grads
+                grads_h[k + 1] += np.repeat(dnbr, fan, axis=0)
         return loss, acc, g
 
     def step(self, grads: SageParams, lr: float) -> None:

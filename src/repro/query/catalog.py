@@ -3,9 +3,11 @@
 GLogue tracks frequencies of patterns up to k vertices.  This scaled
 reproduction keeps the 1-vertex and 1-edge tiers exactly (label counts,
 edge-label counts and the derived per-direction expansion factors),
-which is what the greedy plan search in :mod:`repro.query.cbo`
-consumes.  Selectivity of pushable predicates is estimated with
-classic System-R defaults (equality 0.1, range 0.3, IN |list|*eq).
+which is what the plan search in :mod:`repro.query.cbo` consumes: it
+tries every valid edge order of a pattern with up to
+``MAX_EXHAUSTIVE_EDGES`` (6) edges and picks one greedily beyond that.
+Selectivity of pushable predicates is estimated with classic System-R
+defaults (equality 0.1, range 0.3, IN |list|*eq).
 """
 from __future__ import annotations
 

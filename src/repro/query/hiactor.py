@@ -33,14 +33,14 @@ import pandas as pd
 
 from repro.datasets.property_graph import PropertyGraph
 from repro.query import ir
-from repro.storage.csr import gather_segments
+from repro.storage.csr import gather_segments, stable_argsort
 
 
 class _AdjIndex:
     """Sorted-array adjacency for one (edge label, direction)."""
 
     def __init__(self, keys: np.ndarray, nbrs: np.ndarray, props: dict[str, np.ndarray]):
-        order = np.argsort(keys, kind="stable")
+        order = stable_argsort(keys)
         self.keys = keys[order]
         self.nbrs = nbrs[order]
         self.props = {k: v[order] for k, v in props.items()}
@@ -200,11 +200,6 @@ class HiActorEngine:
         idx = self.adj[(elabel, direction)]
         sl = idx.slice(vid)
         return idx.nbrs[sl], idx.props[prop][sl]
-
-    def find_vertices(self, label: str, prop: str, value) -> np.ndarray:
-        """Ids of the vertices of ``label`` whose ``prop`` equals ``value``."""
-        cols = self.tables[label].cols
-        return cols["id"][cols[prop] == value]
 
     # -- writes ----------------------------------------------------------
     def add_vertex(self, label: str, row: dict) -> None:

@@ -105,10 +105,6 @@ class ScanAccess:
         mask = e[key] == vid
         return e[other][mask], e[prop][mask]
 
-    def find_vertices(self, label, prop, value):
-        v = self._v[label]
-        return v["id"][v[prop] == value]
-
     def add_vertex(self, label, row):
         # copy-on-write + atomic dict swap (see HiActorEngine)
         old = self._v[label]

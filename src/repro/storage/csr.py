@@ -12,7 +12,8 @@ Two artifacts live here:
 :func:`gather_segments` is the batch gather shared by every driver-local
 adjacency: ``NumpyCSR.neighbors_batch`` here and HiActor's sorted-key
 index (:mod:`repro.query.hiactor`), which the SNB-interactive queries
-and the fraud check read through.
+and the fraud check read through.  :func:`stable_argsort` is the sort
+both build with.
 """
 from __future__ import annotations
 
@@ -78,6 +79,32 @@ def gather_segments(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndar
     return row, take
 
 
+def stable_argsort(keys) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of integer keys in O(n) per pass.
+
+    An LSD radix sort (Satish et al., SIGMOD'10): each pass stably
+    argsorts one 16-bit digit of ``keys - keys.min()``, which numpy does
+    with a counting sort, least significant digit first.  The offsets are
+    taken in uint64, where the subtraction wraps exactly, so any int64
+    span sorts correctly; a span of ``b`` bits takes ``ceil(b / 16)``
+    passes (at most 4, none for constant keys).  numpy's own stable sort
+    of int64 keys is a comparison sort (timsort), O(n log n).
+    """
+    keys = np.asarray(keys)
+    if not len(keys):
+        return np.empty(0, dtype=np.intp)
+    if not np.issubdtype(keys.dtype, np.integer):
+        raise TypeError(f"stable_argsort needs integer keys, got {keys.dtype}")
+    u = keys.astype(np.uint64)  # negative values wrap; the differences stay exact
+    off = u - u[np.argmin(keys)]
+    order = None  # the identity, until the first pass
+    for shift in range(0, int(off.max()).bit_length(), 16):
+        digit = ((off if order is None else off[order]) >> np.uint64(shift)).astype(np.uint16)
+        step = np.argsort(digit, kind="stable")
+        order = step if order is None else order[step]
+    return np.arange(len(keys)) if order is None else order
+
+
 class NumpyCSR:
     """Driver-memory CSR over one edge label (src-sorted indptr/indices).
 
@@ -87,12 +114,13 @@ class NumpyCSR:
     """
 
     def __init__(self, src: np.ndarray, dst: np.ndarray, n_vertices: int):
-        order = np.argsort(src, kind="stable")
+        src = np.asarray(src, dtype=np.int64)
+        order = stable_argsort(src)
         self.n = int(n_vertices)
         self.indices = np.asarray(dst, dtype=np.int64)[order]
-        counts = np.bincount(np.asarray(src, dtype=np.int64), minlength=self.n)
+        counts = np.bincount(src, minlength=self.n)
         self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        self.src_sorted = np.asarray(src, dtype=np.int64)[order]
+        self.src_sorted = src[order]
 
     @classmethod
     def from_edges(cls, edges: pd.DataFrame, n_vertices: int | None = None) -> "NumpyCSR":

@@ -27,6 +27,7 @@ import numpy as np
 from repro.datasets import snb
 from repro.datasets.property_graph import PropertyGraph
 from repro.query.hiactor import HiActorEngine
+from repro.storage.csr import gather_segments
 
 
 def fraud_graph(*, n_accounts: int = 500, seed: int = 0, n_seeds: int = 25) -> tuple[PropertyGraph, np.ndarray]:
@@ -41,34 +42,39 @@ def fraud_graph(*, n_accounts: int = 500, seed: int = 0, n_seeds: int = 25) -> t
 class FraudDetector:
     """Stored-procedure implementation over HiActor's in-memory indexes.
 
-    One check is two batched gathers over the account and its friends
-    together — their BUY edges out, then the BUY edges into every item
-    reached — and one membership test of all co-buyers found against
-    the seeds.  That test is a single ``np.isin``, which numpy runs as a
-    lookup table over the seeds' id span when the span is small (ids are
-    dense per label) and by sorting otherwise; a ``searchsorted`` of every
-    co-buyer into the sorted seeds was about 3x slower.
+    One check joins two small edge sets on item: the BUY edges of the
+    account and its friends (one batched gather) and the seeds' own BUY
+    edges (a second gather, sorted by item).  Every purchase then finds
+    the seed purchases of its item with two ``searchsorted`` calls into
+    that sorted list.  Starting from the seeds touches about 100x fewer
+    rows than expanding each bought item to all of its buyers, most of
+    whom are not seeds.  Both gathers read the current BUY index, so a
+    check sees every ``add_edge`` made before it.
     """
 
     def __init__(self, engine: HiActorEngine, seeds: np.ndarray,
                  *, w1: float = 1.0, w2: float = 0.5, threshold: float = 2.0,
                  window: int = 5):
         self.e = engine
-        self.seeds = np.asarray(seeds)
+        self.seeds = np.unique(seeds)
         self.w1, self.w2, self.threshold, self.window = w1, w2, threshold, window
 
     def check(self, account: int) -> tuple[bool, int, int]:
         buy = self.e.adj[("BUY", "out")]
-        rbuy = self.e.adj[("BUY", "in")]
         friends = np.unique(self.e.adj[("AKNOWS", "out")].neighbors(account))
         # owner 0 is the account itself (cnt1), owners 1.. its friends (cnt2)
         owners = np.concatenate([[account], friends])
         who, bought = buy.gather(owners)
-        row, sold = rbuy.gather(buy.nbrs[bought])
-        buyer, who = rbuy.nbrs[sold], who[row]
-        ok = np.isin(buyer, self.seeds) & (buyer != owners[who])
+        srow, sold = buy.gather(self.seeds)
+        by_item = np.argsort(buy.nbrs[sold])
+        sold, buyer = sold[by_item], self.seeds[srow[by_item]]
+        items, wanted = buy.nbrs[sold], buy.nbrs[bought]
+        row, pair = gather_segments(np.searchsorted(items, wanted, "left"),
+                                    np.searchsorted(items, wanted, "right"))
+        who, bought, sold, buyer = who[row], bought[row], sold[pair], buyer[pair]
+        ok = buyer != owners[who]
         direct = who == 0
-        near = np.abs(rbuy.props["date"][sold] - buy.props["date"][bought][row]) < self.window
+        near = np.abs(buy.props["date"][sold] - buy.props["date"][bought]) < self.window
         cnt1 = int(np.count_nonzero(ok & direct & near))
         cnt2 = int(np.count_nonzero(ok & ~direct))
         score = self.w1 * cnt1 + self.w2 * cnt2

@@ -3,14 +3,14 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.analytics import algorithms, reference
+from repro.analytics import algorithms, gpu_backend, reference
 from repro.analytics.baselines import gemini_engine, grape_engine, powergraph_engine
 from repro.analytics.flash import FlashEngine, flash_cc
 from repro.analytics.grape import GrapeEngine
 from repro.analytics.pie import PIEEngine, sssp_pie
 from repro.datasets import graphs
 from repro.oracle import assert_equivalent
-from repro.storage.csr import StaticCSRStore
+from repro.storage.csr import NumpyCSR, StaticCSRStore
 
 
 @pytest.fixture(scope="module")
@@ -174,3 +174,32 @@ def test_flash_cc(spark, store, edges):
     want = reference.wcc(s, d, n)
     for vid in got.index:
         assert got.loc[vid, "component"] == want[vid]
+
+
+# (src, dst, n) of degenerate graphs for the GPU-analog kernels
+GPU_GRAPHS = {
+    "empty": ([], [], 3),
+    "no-in-edges-at-both-ends": ([1, 2, 1], [2, 1, 2], 4),  # ids 0 and 3
+    "self-loops": ([0, 0, 1, 2], [0, 1, 1, 2], 3),
+    "duplicate-edges": ([0, 2, 0, 2], [1, 1, 1, 1], 3),
+}
+
+
+@pytest.mark.parametrize("case", [*GPU_GRAPHS, "rmat"])
+def test_gpu_kernels_match_reference(case, edges):
+    if case == "rmat":
+        s, d, n = _np_edges(edges)
+    else:
+        src, dst, n = GPU_GRAPHS[case]
+        s, d = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    csr = NumpyCSR(s, d, n)
+    want_pr = reference.pagerank(s, d, n, num_iter=10)
+    for got in (gpu_backend.flexgpu_pagerank(csr, num_iter=10),
+                gpu_backend.gunrock_pagerank(s, d, n, num_iter=10),
+                gpu_backend.groute_pagerank(s, d, n, num_iter=10)):
+        np.testing.assert_allclose(got, want_pr, rtol=1e-12)
+    src0 = int(s[0]) if len(s) else 0
+    want_bfs = reference.bfs(s, d, n, src0)
+    for got in (gpu_backend.flexgpu_bfs(csr, src0), gpu_backend.gunrock_bfs(s, d, n, src0),
+                gpu_backend.groute_bfs(s, d, n, src0)):
+        np.testing.assert_array_equal(got, want_bfs)

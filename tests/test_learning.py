@@ -88,6 +88,51 @@ def test_sage_gradcheck():
             next(it, None)
 
 
+def _full_backward(model, feats, labels):
+    """Loss and parameter gradients of a backward pass that also
+    propagates into the sampled input features, as the trainer did
+    before it stopped at layer 0's parameters."""
+    logits, (cache, h_top) = model.forward(feats)
+    B = len(labels)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    loss = -np.log(probs[np.arange(B), labels] + 1e-12).mean()
+    dlogits = probs.copy()
+    dlogits[np.arange(B), labels] -= 1.0
+    dlogits /= B
+    p = model.p
+    g = SageParams([np.zeros_like(w) for w in p.w_self], [np.zeros_like(w) for w in p.w_nbr],
+                   [np.zeros_like(b) for b in p.b], h_top.T @ dlogits, dlogits.sum(axis=0))
+    grads_h = [dlogits @ p.w_out.T]
+    for l in reversed(range(model.n_layers)):
+        new = [np.zeros_like(h_self) for h_self, _, _ in cache[l]]
+        new.append(np.zeros((len(cache[l][-1][1]) * model.fanouts[len(cache[l]) - 1],
+                             cache[l][-1][1].shape[1])))
+        for k, (h_self, h_nbr, z) in enumerate(cache[l]):
+            dz = grads_h[k] * (z > 0)
+            g.w_self[l] += h_self.T @ dz
+            g.w_nbr[l] += h_nbr.T @ dz
+            g.b[l] += dz.sum(axis=0)
+            new[k] += dz @ p.w_self[l].T
+            new[k + 1] += np.repeat((dz @ p.w_nbr[l].T) / model.fanouts[k], model.fanouts[k], axis=0)
+        grads_h = new
+    return loss, g
+
+
+@pytest.mark.parametrize("fanouts", [[3, 2], [4, 3, 2]])
+def test_sage_grads_match_full_backward(fanouts):
+    rng = np.random.default_rng(11)
+    model = GraphSAGE(SageParams.init(6, 8, 3, len(fanouts), seed=12), fanouts)
+    sizes = np.cumprod([5, *fanouts])
+    feats = [rng.standard_normal((m, 6)) for m in sizes]
+    labels = rng.integers(0, 3, sizes[0])
+    loss, _, grads = model.loss_and_grads(feats, labels)
+    want_loss, want = _full_backward(model, feats, labels)
+    np.testing.assert_allclose(loss, want_loss, rtol=1e-12)
+    for got, exp in zip(grads.flat(), want.flat(), strict=True):
+        np.testing.assert_allclose(got, exp, rtol=1e-12)
+
+
 def test_training_learns(csr, g):
     dense, n = g
     feats = make_features(n, 16, seed=3)

@@ -119,10 +119,24 @@ def test_fraud_on_gart_stream(spark, fraud_setup):
     assert len(after.edges["BUY"]) == n0 + 10
     # old snapshot unaffected (MVCC)
     assert len(store.to_property_graph(v0).edges["BUY"]) == n0
-    # detector over the new snapshot works
+    # a detector over the new snapshot, and one whose engine took the
+    # same orders through add_edge, both count what the oracle counts on
+    # the post-stream graph
+    streamed = after.edges["BUY"].iloc[n0:]
+    assert (streamed.date >= 3000).all()  # stream_orders dates its orders 3000 on
     det = fraud.FraudDetector(HiActorEngine(after), seeds)
-    alert, c1, c2 = det.check(int(pg.vertices["Account"].id.iloc[0]))
-    assert c1 >= 0 and c2 >= 0
+    live = HiActorEngine(pg)
+    live_det = fraud.FraudDetector(live, seeds)
+    for o in streamed.itertuples(index=False):
+        live.add_edge("BUY", int(o.src), int(o.dst), {"date": o.date, "amount": o.amount})
+    accounts = {int(pg.vertices["Account"].id.iloc[0]), *streamed.src.tolist()}
+    # the friends of an account whose order streamed in see it in cnt2
+    ak = pg.edges["AKNOWS"]
+    accounts |= set(ak.src[ak.dst.isin(streamed.src)].head(5).tolist())
+    for a in sorted(accounts):
+        want = _fraud_oracle(after, seeds, a)
+        assert det.check(a)[1:] == want, f"account {a}"
+        assert live_det.check(a)[1:] == want, f"account {a} after add_edge"
 
 
 def test_fraud_throughput_smoke(fraud_setup):

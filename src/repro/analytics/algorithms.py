@@ -12,7 +12,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.analytics.grape import GrapeEngine
+from repro.analytics.grape import GrapeEngine, barrier
 from repro.analytics.pregel import pregel, source_initial
 
 
@@ -21,8 +21,11 @@ def pagerank(engine: GrapeEngine, *, alpha: float = 0.85, num_iter: int = 10) ->
 
     Returns (id, rank).  State is struct(rank, deg) so the out-degree
     rides along the Pregel value instead of re-joining every superstep.
+    An engine without vertices (an edgeless graph) gives an empty frame.
     """
     n = engine.num_vertices
+    if n == 0:
+        return engine.vertices.select("id", F.lit(0.0).alias("rank"))
     init = engine.out_degrees().select(
         "id", F.struct(F.lit(1.0 / n).alias("rank"), F.col("deg").alias("deg")).alias("value")
     )
@@ -145,16 +148,15 @@ def kcore(engine: GrapeEngine, *, k: int, max_iter: int = 50) -> DataFrame:
             .filter(F.col("deg") >= k)
             .select(F.col("src").alias("id"))
         )
-        edges = (
+        edges, seen = barrier(
             edges.join(keep.withColumnRenamed("id", "src"), "src")
             .join(keep.withColumnRenamed("id", "dst"), "dst")
-            .select("src", "dst")
-            .localCheckpoint(eager=True)
+            .select("src", "dst"),
+            n=F.count("*"),
         )
-        cnt = edges.count()
-        if cnt == prev:
+        if seen["n"] == prev:
             break
-        prev = cnt
+        prev = seen["n"]
     return edges.select(F.col("src").alias("id")).distinct()
 
 
@@ -165,10 +167,9 @@ def triangle_count(engine: GrapeEngine) -> int:
         .unionByName(engine.edges.selectExpr("dst as src", "src as dst"))
         .filter("src < dst")
         .distinct()
-        .cache()
     )
     e1, e2, e3 = e.alias("e1"), e.alias("e2"), e.alias("e3")
-    n = (
+    return int(
         e1.join(e2, F.col("e1.dst") == F.col("e2.src"))
         .join(
             e3,
@@ -176,5 +177,3 @@ def triangle_count(engine: GrapeEngine) -> int:
         )
         .count()
     )
-    e.unpersist()
-    return int(n)

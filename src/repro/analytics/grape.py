@@ -11,9 +11,15 @@ The optimizations GRAPE is credited with map onto Spark as:
   ``groupBy(dst).agg`` *before* they reach the vertex program — the
   analog of GRAPE packing fragmented small messages into one compact
   buffer per target ("trades latency for throughput").
-* **lineage control** — every superstep ends in a BSP materialization
-  barrier; GRAPE's is a ``localCheckpoint`` that truncates the growing
-  plan, the analog of GRAPE's materialized per-round fragment state.
+* **lineage control** — every superstep ends in :func:`barrier`, a
+  ``localCheckpoint`` that truncates the growing plan (the analog of
+  GRAPE's materialized per-round fragment state) and carries the
+  round's counters as an ``observe``.
+
+Pregel (:mod:`repro.analytics.pregel`), PIE (:mod:`repro.analytics.pie`)
+and FLASH (:mod:`repro.analytics.flash`) are programming models over one
+engine: they read its edge fragments and end their rounds with
+:func:`barrier`.
 
 Baselines in :mod:`repro.analytics.baselines` are this loop with the
 optimizations removed — each removal mirrors the architectural
@@ -141,42 +147,66 @@ class GrapeEngine:
                        already absorbed.  Every vertex sends in the first
                        superstep.
         """
-        cfg = self.config
         frontier = until_convergence  # IncEval-style: only changed vertices send
         state = initial.withColumn("_chg", F.lit(True)) if frontier else initial
-        for it in range(num_iter):
+        for _ in range(num_iter):
             senders = state.filter("_chg").drop("_chg") if frontier else state
-            joined = self.edges.join(
-                senders.withColumnRenamed("id", "src"), on="src", how="inner"
-            )
-            if cfg.combine_messages:
-                msgs = joined.groupBy(F.col("dst").alias("id")).agg(
-                    agg(send(joined)).alias("msg")
-                )
-            else:
-                # scatter without pre-aggregation: the full per-edge
-                # message relation (|E| rows) goes onto the wire and is
-                # materialized before any combining — the "fragmented
-                # small messages" cost GRAPE's compact buffers avoid.
-                raw = (
-                    joined.select(F.col("dst").alias("id"), send(joined).alias("m"))
-                    .repartition("id")
-                    .localCheckpoint(eager=True)
-                )
-                msgs = raw.groupBy("id").agg(agg(F.col("m")).alias("msg"))
+            msgs = self.messages(senders, send, agg)
             new_value = update(F.col("value"), F.col("msg"))
             cols = [new_value.alias("value")]
             if frontier:
                 cols.append((~new_value.eqNullSafe(F.col("value"))).alias("_chg"))
             new_state = state.join(msgs, on="id", how="left").select("id", *cols)
-            if frontier:
-                obs = Observation()
-                new_state = new_state.observe(obs, F.count_if("_chg").alias("n"))
-            # BSP superstep barrier, the same in every configuration.
-            # Every mode truncates lineage — leaving the logical plan to
-            # double per superstep would measure Catalyst analysis
-            # blowup, not engine architecture.
-            state = new_state.localCheckpoint(eager=True)
-            if frontier and not obs.get["n"]:
+            counters = {"n": F.count_if("_chg")} if frontier else {}
+            state, seen = barrier(new_state, **counters)
+            if frontier and not seen["n"]:
                 break
         return state.drop("_chg") if frontier else state
+
+    def messages(
+        self,
+        senders: DataFrame,
+        send: Callable[[DataFrame], Column],
+        agg: Callable[[Column], Column],
+    ) -> DataFrame:
+        """Neighbourhood messages of one superstep: (id, msg).
+
+        ``senders`` is (id, value[, ...]) of the vertices that send; each
+        sends ``send(joined)`` along its out-edges, and ``agg`` combines
+        the messages per destination.
+        """
+        joined = self.edges.join(
+            senders.withColumnRenamed("id", "src"), on="src", how="inner"
+        )
+        if self.config.combine_messages:
+            return joined.groupBy(F.col("dst").alias("id")).agg(
+                agg(send(joined)).alias("msg")
+            )
+        # scatter without pre-aggregation: the full per-edge
+        # message relation (|E| rows) goes onto the wire and is
+        # materialized before any combining — the "fragmented
+        # small messages" cost GRAPE's compact buffers avoid.
+        raw = (
+            joined.select(F.col("dst").alias("id"), send(joined).alias("m"))
+            .repartition("id")
+            .localCheckpoint(eager=True)
+        )
+        return raw.groupBy("id").agg(agg(F.col("m")).alias("msg"))
+
+
+def barrier(frame: DataFrame, **counters: Column) -> tuple[DataFrame, dict]:
+    """End a round: the BSP superstep barrier every programming model shares.
+
+    Materialises ``frame`` with ``localCheckpoint(eager=True)``, which
+    truncates its lineage — leaving the logical plan to double per
+    round would measure Catalyst analysis blowup, not engine
+    architecture.  Each keyword is an aggregate Column over the round's
+    rows (a changed-row count, a message count, a maximum); it is an
+    ``observe`` on the checkpoint, so reading it costs no Spark job of
+    its own.  Returns the checkpointed frame and ``{name: value}``.
+    """
+    if not counters:
+        return frame.localCheckpoint(eager=True), {}
+    obs = Observation()
+    frame = frame.observe(obs, *[c.alias(k) for k, c in counters.items()])
+    return frame.localCheckpoint(eager=True), obs.get

@@ -4,11 +4,15 @@ PIE runs a *sequential* algorithm on each fragment (PEval), exchanges
 border messages, then incrementally re-evaluates (IncEval) until no
 messages flow — GRAPE's auto-parallelization of sequential code.
 
-Spark mapping: fragments are hash partitions of the edge list; PEval /
-IncEval are plain-pandas functions executed fragment-parallel via
-``cogroup().applyInPandas`` (the partition-at-a-time escape hatch that
-corresponds to PIE's "handle a partition as a primary element").
-Message routing between fragments is a repartition on the owner id.
+Spark mapping: PIE is a programming model over the GRAPE engine.  Its
+fragments are the engine's shared edge fragments, keyed by
+``pmod(src, num_fragments)``; PEval / IncEval are plain-pandas functions
+executed fragment-parallel via ``cogroup().applyInPandas`` (the
+partition-at-a-time escape hatch that corresponds to PIE's "handle a
+partition as a primary element").  Message routing between fragments is
+a repartition on the owner id, and every round ends in the engine's
+:func:`~repro.analytics.grape.barrier`, whose ``observe`` counts the
+round's messages.
 """
 from __future__ import annotations
 
@@ -16,59 +20,35 @@ from typing import Callable
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.storage.grin import GraphStore
+from repro.analytics.grape import GrapeEngine, barrier
 
 PEvalFn = Callable[[pd.DataFrame, pd.DataFrame], tuple[pd.DataFrame, pd.DataFrame]]
 IncEvalFn = Callable[[pd.DataFrame, pd.DataFrame, pd.DataFrame], tuple[pd.DataFrame, pd.DataFrame]]
 
 
 class PIEEngine:
-    """Fragment-parallel PEval/IncEval runtime.
+    """Fragment-parallel PEval/IncEval runtime over a GRAPE engine.
 
     ``peval(edges_pdf, state_pdf)`` and
     ``inceval(edges_pdf, state_pdf, msgs_pdf)`` both return
     ``(new_state_pdf, out_msgs_pdf)`` where messages are (id, mvalue)
     rows addressed to *any* vertex (the engine routes them to the
     owning fragment).  State rows are (id, value) for the fragment's
-    own vertices.
+    own vertices.  Edges carry the engine's ``weight``, or 1.0 when the
+    engine is unweighted.
     """
 
-    def __init__(
-        self,
-        spark: SparkSession,
-        store: GraphStore,
-        *,
-        num_fragments: int = 4,
-        edge_weight: str | None = None,
-    ):
-        self.spark = spark
+    def __init__(self, engine: GrapeEngine, *, num_fragments: int = 4):
         self.nfrag = num_fragments
-        if edge_weight is None:
-            edges = store.adjacency().select("src", "dst", F.lit(1.0).alias("weight"))
-        else:
-            parts = [
-                store.edges(l).select("src", "dst", F.col(edge_weight).alias("weight"))
-                for l in store.edge_labels()
-            ]
-            edges = parts[0]
-            for p in parts[1:]:
-                edges = edges.unionByName(p)
-        # a fragment owns the edges whose src it owns
-        self.edges = edges.withColumn(
-            "frag", F.pmod(F.col("src"), F.lit(self.nfrag))
-        ).cache()
-        self.edges.count()
-        self.vertices = (
-            edges.select(F.col("src").alias("id"))
-            .unionByName(edges.select(F.col("dst").alias("id")))
-            .distinct()
-            .withColumn("frag", F.pmod(F.col("id"), F.lit(self.nfrag)))
-            .cache()
-        )
-        self.vertices.count()
+        edges = engine.edges
+        if "weight" not in edges.columns:
+            edges = edges.withColumn("weight", F.lit(1.0))
+        # a fragment owns the vertices (and the out-edges) whose id it owns
+        self.edges = edges.withColumn("frag", F.pmod("src", F.lit(self.nfrag)))
+        self.vertices = engine.vertices.withColumn("frag", F.pmod("id", F.lit(self.nfrag)))
 
     def run(
         self,
@@ -108,15 +88,13 @@ class PIEEngine:
             if msgs is not None:
                 sm = sm.unionByName(msgs)
             fn = make_round(peval, False) if rnd == 0 else make_round(inceval, True)
-            combined = (
-                self.edges.groupby("frag")
-                .cogroup(sm.groupby("frag"))
-                .applyInPandas(fn, schema)
-                .localCheckpoint(eager=True)
+            rows = (
+                self.edges.groupby("frag").cogroup(sm.groupby("frag")).applyInPandas(fn, schema)
             )
+            combined, seen = barrier(rows, msgs=F.count_if(F.col("kind") == "msg"))
             state = combined.filter("kind = 'state'").select("id", "value", "frag")
             msgs = combined.filter("kind = 'msg'").select("id", "value", "kind", "frag")
-            if rnd > 0 and msgs.limit(1).count() == 0:
+            if not seen["msgs"]:
                 break
         return state.select("id", "value")
 

@@ -42,11 +42,6 @@ def pregel(
     )
 
 
-def const_initial(engine: GrapeEngine, value) -> DataFrame:
-    """(id, value) state with the same initial value everywhere."""
-    return engine.vertices.select("id", F.lit(value).alias("value"))
-
-
 def source_initial(engine: GrapeEngine, source: int, src_value, other_value) -> DataFrame:
     """(id, value) state distinguishing one source vertex (BFS/SSSP)."""
     return engine.vertices.select(

@@ -21,7 +21,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.storage.grin import GraphStore, Trait
+from repro.storage.grin import GraphStore, Trait, to_spark
 
 
 class StaticCSRStore(GraphStore):
@@ -35,10 +35,10 @@ class StaticCSRStore(GraphStore):
         self._n_vertices = int(
             pd.concat([edges.src, edges.dst]).nunique()
         )
-        base = spark.createDataFrame(edges[["src", "dst"]].assign(label=self._LABEL))
+        base = to_spark(spark, edges[["src", "dst"]].assign(label=self._LABEL))
         self._adj = base.repartition("src").sortWithinPartitions("src").cache()
         ids = pd.DataFrame({"id": pd.concat([edges.src, edges.dst]).unique()})
-        self._v = spark.createDataFrame(ids).cache()
+        self._v = to_spark(spark, ids).cache()
         if eager:
             self._adj.count()
             self._v.count()

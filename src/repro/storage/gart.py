@@ -36,7 +36,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.datasets.property_graph import PropertyGraph
-from repro.storage.grin import GraphStore, Trait
+from repro.storage.grin import GraphStore, Trait, to_spark
 
 LIVE = np.iinfo(np.int64).max  # delete_version sentinel for live records
 
@@ -129,7 +129,7 @@ class GartStore(GraphStore):
                 old.unpersist()
             log = self._log[label]
             live = log[(log.cv <= vb) & (log.dv > vb)].drop(columns=["cv", "dv"])
-            sdf = self._spark.createDataFrame(live)
+            sdf = to_spark(self._spark, live)
             base = sdf.repartition("src").sortWithinPartitions("src").cache()
             if eager:
                 base.count()
@@ -163,12 +163,6 @@ class GartStore(GraphStore):
 
     def edges(self, label: str, *, predicate: str | None = None) -> DataFrame:
         return self.snapshot().edges(label, predicate=predicate)
-
-    def adjacency(self, *, direction: str = "out") -> DataFrame:
-        return self.snapshot().adjacency(direction=direction)
-
-    def scan_edges(self) -> DataFrame:
-        return self.snapshot().scan_edges()
 
     # pandas view of one consistent snapshot (HiActor / sampler fast path)
     def to_property_graph(self, version: int | None = None) -> PropertyGraph:
@@ -206,10 +200,10 @@ class GartSnapshot(GraphStore):
         s = self._s
         df = s._v_df.get(label)
         if df is None:
-            df = s._v_df[label] = s._spark.createDataFrame(s._v_pdf[label])
+            df = s._v_df[label] = to_spark(s._spark, s._v_pdf[label])
         return df.filter(predicate) if predicate else df
 
-    def _resolved(self, label: str, cols_with_props: bool) -> DataFrame:
+    def _resolved(self, label: str) -> DataFrame:
         """Edge set of ``label`` live at ``self.version`` as a Spark DF.
 
         Tombstones are applied with a *broadcast* anti-join: in GART
@@ -231,7 +225,7 @@ class GartSnapshot(GraphStore):
                 columns=["cv", "dv"]
             )
             cached = tuple(
-                s._spark.createDataFrame(p) if len(p) else None for p in (tomb, delta)
+                to_spark(s._spark, p) if len(p) else None for p in (tomb, delta)
             )
             s._delta_cache[key] = cached
         tomb_df, delta_df = cached
@@ -240,25 +234,8 @@ class GartSnapshot(GraphStore):
             base = base.join(F.broadcast(tomb_df), on=["src", "dst"], how="left_anti")
         if delta_df is not None:
             base = base.unionByName(delta_df)
-        if not cols_with_props:
-            base = base.select("src", "dst")
         return base
 
     def edges(self, label: str, *, predicate: str | None = None) -> DataFrame:
-        df = self._resolved(label, cols_with_props=True)
+        df = self._resolved(label)
         return df.filter(predicate) if predicate else df
-
-    def adjacency(self, *, direction: str = "out") -> DataFrame:
-        parts = [
-            self._resolved(l, cols_with_props=False).withColumn("label", F.lit(l))
-            for l in self.edge_labels()
-        ]
-        out = parts[0]
-        for p in parts[1:]:
-            out = out.unionByName(p)
-        if direction == "in":
-            out = out.selectExpr("dst as src", "src as dst", "label")
-        return out
-
-    def scan_edges(self) -> DataFrame:
-        return self.adjacency()

@@ -36,11 +36,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql.datasource import DataSource, DataSourceReader, InputPartition
 
 from repro.datasets.property_graph import PropertyGraph
-from repro.storage.grin import GraphStore, Trait
+from repro.storage.grin import GraphStore, Trait, arrow_to_ddl
 
 _META = "metadata.json"
 
@@ -129,38 +128,9 @@ def fetch_neighbors(root: str | Path, label: str, vid: int) -> pd.DataFrame:
     return pd.concat(parts, ignore_index=True)
 
 
-def pruned_edge_files(root: str | Path, label: str, src_min: int, src_max: int) -> list[str]:
-    """Chunk files overlapping a src range (partition pruning primitive)."""
-    meta = read_metadata(root)
-    return [
-        str(Path(root) / c["file"])
-        for c in meta["edge_chunks"][label]
-        if not (c["src_max"] < src_min or c["src_min"] > src_max)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Python DataSource (Spark 4 DSv2 surface)
 # ---------------------------------------------------------------------------
-def _arrow_to_ddl(schema: pa.Schema) -> str:
-    m = {
-        pa.int64(): "long",
-        pa.int32(): "int",
-        pa.float64(): "double",
-        pa.float32(): "float",
-        pa.string(): "string",
-        pa.large_string(): "string",
-        pa.bool_(): "boolean",
-    }
-    cols = []
-    for f in schema:
-        t = m.get(f.type)
-        if t is None:
-            raise TypeError(f"unsupported GraphAr column type {f.type} for {f.name}")
-        cols.append(f"{f.name} {t}")
-    return ", ".join(cols)
-
-
 class _Chunk(InputPartition):
     def __init__(self, file: str):
         self.file = file
@@ -200,7 +170,7 @@ class GraphArDataSource(DataSource):
         meta = read_metadata(root)
         key = "edge_chunks" if kind == "edge" else "vertex_chunks"
         first = Path(root) / meta[key][label][0]["file"]
-        return _arrow_to_ddl(pq.read_schema(str(first)))
+        return arrow_to_ddl(pq.read_schema(str(first)))
 
     def reader(self, schema) -> _GraphArReader:
         return _GraphArReader(self.options)
@@ -270,18 +240,6 @@ class GraphArStore(GraphStore):
     def edges(self, label: str, *, predicate: str | None = None) -> DataFrame:
         df = self._read("edge", label)
         return df.filter(predicate) if predicate else df
-
-    def adjacency(self, *, direction: str = "out") -> DataFrame:
-        parts = [
-            self._read("edge", l).select("src", "dst").withColumn("label", F.lit(l))
-            for l in self.edge_labels()
-        ]
-        out = parts[0]
-        for p in parts[1:]:
-            out = out.unionByName(p)
-        if direction == "in":
-            out = out.selectExpr("dst as src", "src as dst", "label")
-        return out
 
     def to_property_graph(self) -> PropertyGraph:
         """Materialize the archive into a driver-side property graph."""

@@ -12,7 +12,8 @@ Handles in the C API (VERTEX_LIST, ADJ_LIST, ...) become DataFrames:
 
 * ``vertices(label)``  — VERTEX_LIST with properties
 * ``edges(label)``     — EDGE_LIST with properties
-* ``adjacency(dir)``   — ADJ_LIST over all edge labels, pre-partitioned
+* ``adjacency(dir)``   — ADJ_LIST over all edge labels (by default the
+  union of the ``edges`` reads; indexed backends keep it pre-partitioned)
 * ``predicate=``       — predicate pushdown (SQL string) when the
   backend advertises :attr:`Trait.PREDICATE_PUSHDOWN`; otherwise the
   *caller* must filter (GRIN lets backends refuse a trait).
@@ -21,8 +22,12 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
+from functools import reduce
 
-from pyspark.sql import DataFrame
+import pandas as pd
+import pyarrow as pa
+from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import functions as F
 
 
 class Trait(enum.Flag):
@@ -70,14 +75,22 @@ class GraphStore(ABC):
     def edges(self, label: str, *, predicate: str | None = None) -> DataFrame:
         """EDGE_LIST of one label: columns ``src``, ``dst`` + properties."""
 
-    @abstractmethod
     def adjacency(self, *, direction: str = "out") -> DataFrame:
         """ADJ_LIST over all edge labels: ``src``, ``dst``, ``label``.
 
         ``direction='in'`` swaps endpoints so ``src`` is always the
-        traversal origin.  Backends with :attr:`Trait.INDEX` return a
-        cached, src-clustered frame (CSR/CSC analog).
+        traversal origin.  The default is the union of the per-label
+        ``edges`` reads; backends that keep a cached, src-clustered
+        frame (CSR/CSC analog) override it.
         """
+        parts = [
+            self.edges(l).select("src", "dst", F.lit(l).alias("label"))
+            for l in self.edge_labels()
+        ]
+        out = reduce(DataFrame.unionByName, parts)
+        if direction == "in":
+            out = out.selectExpr("dst as src", "src as dst", "label")
+        return out
 
     # -- statistics (used by the CBO catalog) ---------------------------
     def num_vertices(self, label: str | None = None) -> int:
@@ -112,3 +125,40 @@ def require(store: GraphStore, needed: Trait) -> None:
         raise ValueError(
             f"store {store.name!r} lacks required GRIN traits: {missing!r}"
         )
+
+
+_ARROW_DDL = {
+    pa.int64(): "long",
+    pa.int32(): "int",
+    pa.float64(): "double",
+    pa.float32(): "float",
+    pa.string(): "string",
+    pa.large_string(): "string",
+    pa.bool_(): "boolean",
+    # an empty object column: pandas holds strings as objects
+    pa.null(): "string",
+}
+
+
+def arrow_to_ddl(schema: pa.Schema) -> str:
+    """Spark DDL of an Arrow schema (the store column types only)."""
+    cols = []
+    for f in schema:
+        t = _ARROW_DDL.get(f.type)
+        if t is None:
+            raise TypeError(f"unsupported column type {f.type} for {f.name}")
+        cols.append(f"{f.name} {t}")
+    return ", ".join(cols)
+
+
+def to_spark(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
+    """A store's pandas frame as a Spark frame.
+
+    Spark infers the schema from the rows, so an empty frame (an edge
+    label whose every edge was deleted, a graph without edges) gets one
+    derived from its pandas dtypes instead.
+    """
+    if len(pdf):
+        return spark.createDataFrame(pdf)
+    schema = pa.Schema.from_pandas(pdf, preserve_index=False)
+    return spark.createDataFrame(pdf, schema=arrow_to_ddl(schema))

@@ -19,7 +19,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.datasets.property_graph import PropertyGraph
-from repro.storage.grin import GraphStore, Trait
+from repro.storage.grin import GraphStore, Trait, to_spark
 
 LIVE = np.iinfo(np.int64).max
 
@@ -53,7 +53,7 @@ class LiveGraphStore(GraphStore):
         # the log is cached (it IS in memory, like LiveGraph) — the cost
         # under test is the per-scan version resolution, not I/O.
         self._log_df = {
-            l: self._spark.createDataFrame(log).cache() for l, log in self._log.items()
+            l: to_spark(self._spark, log).cache() for l, log in self._log.items()
         }
         if eager:
             for df in self._log_df.values():
@@ -94,7 +94,7 @@ class LiveGraphStore(GraphStore):
         return self._signatures[label]
 
     def vertices(self, label: str, *, predicate: str | None = None) -> DataFrame:
-        df = self._spark.createDataFrame(self._v_pdf[label])
+        df = to_spark(self._spark, self._v_pdf[label])
         return df.filter(predicate) if predicate else df
 
     def _resolved(self, label: str) -> DataFrame:
@@ -108,7 +108,7 @@ class LiveGraphStore(GraphStore):
 
     def edges(self, label: str, *, predicate: str | None = None) -> DataFrame:
         live = self._resolved(label)
-        props = self._spark.createDataFrame(self._props[label])
+        props = to_spark(self._spark, self._props[label])
         df = live.join(props, on=["src", "dst"], how="left")
         return df.filter(predicate) if predicate else df
 

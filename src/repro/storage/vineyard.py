@@ -17,7 +17,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.datasets.property_graph import PropertyGraph
-from repro.storage.grin import GraphStore, Trait
+from repro.storage.grin import GraphStore, Trait, to_spark
 
 
 class VineyardStore(GraphStore):
@@ -31,10 +31,9 @@ class VineyardStore(GraphStore):
     def __init__(self, spark: SparkSession, pg: PropertyGraph, *, eager: bool = True):
         self._spark = spark
         self._pg = pg
-        self._v = {l: spark.createDataFrame(p).cache() for l, p in pg.vertices.items()}
-        self._e = {l: spark.createDataFrame(p).cache() for l, p in pg.edges.items()}
-        flat = pg.all_edges()
-        base = spark.createDataFrame(flat)
+        self._v = {l: to_spark(spark, p).cache() for l, p in pg.vertices.items()}
+        self._e = {l: to_spark(spark, p).cache() for l, p in pg.edges.items()}
+        base = to_spark(spark, pg.all_edges())
         self._adj_out = (
             base.repartition("src").sortWithinPartitions("src").cache()
         )

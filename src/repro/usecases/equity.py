@@ -8,8 +8,9 @@ a person whose effective share exceeds 0.5 (paper: 51%).
   shares sum to 1; owners are persons or upstream companies.
 * :func:`effective_ownership_grape` — the Flex deployment: iterative
   path-aggregation dataflow on the GRAPE engine's cached edge
-  fragments (the "modified label propagation with the GraphX API" of
-  the paper maps to exactly this join-aggregate superstep).
+  fragments, each depth ending in the engine's superstep barrier (the
+  "modified label propagation with the GraphX API" of the paper maps
+  to exactly this join-aggregate superstep).
 * :func:`effective_ownership_sql` — the paper's SQL baseline: per-depth
   path *enumeration* with aggregation only at the end, re-reading the
   edge table every level and capped at a fixed depth (the baseline
@@ -24,6 +25,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.analytics.grape import GrapeEngine, barrier
 from repro.datasets.property_graph import PropertyGraph
 
 PERSON_BASE = 0
@@ -66,15 +68,17 @@ def effective_ownership_grape(
     """(owner, company, share) of total effective ownership.
 
     Superstep d extends every known path by one OWNS edge and
-    aggregates per (owner, company) — the GRAPE dataflow: cached edge
-    fragments + combiner + localCheckpoint.
+    aggregates per (owner, company) — the GRAPE dataflow over the
+    engine's cached edge fragments: a join, a combiner, and the
+    engine's :func:`~repro.analytics.grape.barrier`, whose ``observe``
+    reads the depth's largest share.
     """
-    w = store.edges("OWNS").select("src", "dst", "share").repartition("src").cache()
-    w.count()
+    engine = GrapeEngine(spark, store, edge_weight="share", edge_label="OWNS")
+    w = engine.edges.withColumnRenamed("weight", "share")
     eff = w
     frontier = w  # paths of exactly the current depth
     for _ in range(max_depth - 1):
-        ext = (
+        ext, seen = barrier(
             frontier.alias("p")
             .join(w.alias("e"), F.col("p.dst") == F.col("e.src"))
             .select(
@@ -83,18 +87,15 @@ def effective_ownership_grape(
                 (F.col("p.share") * F.col("e.share")).alias("share"),
             )
             .groupBy("src", "dst")
-            .agg(F.sum("share").alias("share"))
-            .localCheckpoint(eager=True)
+            .agg(F.sum("share").alias("share")),
+            top=F.max("share"),
         )
-        if ext.agg(F.max("share")).collect()[0][0] is None:
+        if seen["top"] is None:
             break
-        eff = (
-            eff.unionByName(ext)
-            .groupBy("src", "dst")
-            .agg(F.sum("share").alias("share"))
-            .localCheckpoint(eager=True)
+        eff, _ = barrier(
+            eff.unionByName(ext).groupBy("src", "dst").agg(F.sum("share").alias("share"))
         )
-        if ext.agg(F.max("share")).collect()[0][0] < tol:
+        if seen["top"] < tol:
             break
         frontier = ext
     return eff.select(

@@ -5,7 +5,7 @@ import pytest
 
 from repro.analytics import algorithms, gpu_backend, reference
 from repro.analytics.baselines import gemini_engine, grape_engine, powergraph_engine
-from repro.analytics.flash import FlashEngine, flash_cc
+from repro.analytics.flash import flash_cc
 from repro.analytics.grape import GrapeEngine
 from repro.analytics.pie import PIEEngine, sssp_pie
 from repro.datasets import graphs
@@ -154,7 +154,7 @@ def test_pie_sssp(spark, edges):
             return self._w
 
     st = WStore(spark, w)
-    eng = PIEEngine(spark, st, num_fragments=4, edge_weight="weight")
+    eng = PIEEngine(GrapeEngine(spark, st, edge_weight="weight"), num_fragments=4)
     src0 = int(edges.src.iloc[0])
     got = sssp_pie(eng, source=src0).toPandas().set_index("id")
     want = reference.sssp(
@@ -168,7 +168,7 @@ def test_pie_sssp(spark, edges):
 
 
 def test_flash_cc(spark, store, edges):
-    eng = FlashEngine(spark, store)
+    eng = GrapeEngine(spark, store, symmetrize=True)
     got = flash_cc(eng).toPandas().set_index("id")
     s, d, n = _np_edges(edges)
     want = reference.wcc(s, d, n)

@@ -2,8 +2,9 @@
 
 BFS, SSSP and WCC send only from the vertices that changed in the
 previous superstep; each is checked against networkx on every CPU
-engine configuration, and the loop is shown to launch one Spark job
-per superstep.
+engine configuration, as are FLASH CC and PIE SSSP over the same
+engines.  An edgeless graph runs every algorithm without rows, and
+every programming model is shown to launch one Spark job per round.
 """
 import math
 
@@ -14,8 +15,12 @@ import pytest
 
 from repro.analytics import algorithms
 from repro.analytics.baselines import CPU_SYSTEMS, grape_engine
+from repro.analytics.flash import flash_cc
+from repro.analytics.pie import PIEEngine, sssp_pie
+from repro.datasets import graphs
 from repro.datasets.property_graph import PropertyGraph
 from repro.storage.vineyard import VineyardStore
+from repro.usecases import equity
 
 # name -> ([(src, dst, weight)], source)
 CASES = {
@@ -83,26 +88,125 @@ def test_frontier_algorithms_degenerate(spark, case, system):
     assert got == want, f"wcc {what}"
 
 
-def test_bfs_one_job_per_superstep(spark):
+@pytest.mark.parametrize("system", list(CPU_SYSTEMS))
+@pytest.mark.parametrize("case", list(CASES))
+def test_flash_and_pie_degenerate(spark, case, system):
+    rows, source = CASES[case]
+    store, g, ids = _store(spark, rows)
+    factory = CPU_SYSTEMS[system]
+    what = f"{case} on {system}"
+
+    got = _by_id(flash_cc(factory(spark, store, symmetrize=True)), "component")
+    want = {v: min(c) for c in nx.weakly_connected_components(g) for v in c}
+    assert got == want, f"flash_cc {what}"
+
+    pie = PIEEngine(factory(spark, store, edge_weight="weight"))
+    got = _by_id(sssp_pie(pie, source=source), "dist")
+    want = nx.single_source_dijkstra_path_length(g, source, weight="weight")
+    want = {v: want.get(v, math.inf) for v in ids.tolist()}
+    assert got == pytest.approx(want, rel=1e-12), f"sssp_pie {what}"
+
+
+@pytest.mark.parametrize("system", list(CPU_SYSTEMS))
+def test_edgeless_graph(spark, system):
+    """A graph whose one edge label has no rows: the store builds, and
+    every algorithm returns no rows, since an engine's vertices are the
+    endpoints of its edges."""
+    pg = PropertyGraph()
+    pg.add_vertices("V", pd.DataFrame({"id": np.arange(3, dtype=np.int64)}))
+    e = pd.DataFrame({"src": [], "dst": [], "weight": []})
+    pg.add_edges("E", e.astype({"src": "int64", "dst": "int64"}), src_label="V", dst_label="V")
+    store = VineyardStore(spark, pg)
+    factory = CPU_SYSTEMS[system]
+    eng = factory(spark, store)
+    weighted = factory(spark, store, edge_weight="weight")
+    undirected = factory(spark, store, symmetrize=True)
+    assert eng.num_vertices == 0
+    runs = {
+        "bfs": algorithms.bfs(eng, source=0),
+        "sssp": algorithms.sssp(weighted, source=0),
+        "wcc": algorithms.wcc(undirected),
+        "pagerank": algorithms.pagerank(eng),
+        "flash_cc": flash_cc(undirected),
+        "sssp_pie": sssp_pie(PIEEngine(weighted), source=0),
+    }
+    for name, df in runs.items():
+        assert df.collect() == [], f"{name} on {system}"
+
+
+PATH_EDGES = 6
+
+
+def _rmat_store(spark):
+    """The RMAT-7 graph of ``test_analytics_core``, with ``test_pie_sssp``'s
+    weights, and that test's source."""
+    e, _ = graphs.compact_ids(graphs.rmat_edges(scale=7, n_edges=600, seed=5))
+    w = graphs.with_weights(e, seed=3, low=0.1, high=1.0)
+    rows = list(w[["src", "dst", "weight"]].itertuples(index=False, name=None))
+    return _store(spark, rows)[0], int(e.src.iloc[0])
+
+
+def _bfs_path(spark):
+    store, _, _ = _store(spark, [(i, i + 1, 1.0) for i in range(PATH_EDGES)])
+    eng = grape_engine(spark, store)
+    return lambda: algorithms.bfs(eng, source=0)
+
+
+def _flash_rmat(spark):
+    eng = grape_engine(spark, _rmat_store(spark)[0], symmetrize=True)
+    return lambda: flash_cc(eng)
+
+
+def _pie_rmat(spark):
+    store, source = _rmat_store(spark)
+    eng = PIEEngine(grape_engine(spark, store, edge_weight="weight"))
+    return lambda: sssp_pie(eng, source=source)
+
+
+def _kcore_rmat(spark):
+    eng = grape_engine(spark, _rmat_store(spark)[0], symmetrize=True)
+    return lambda: algorithms.kcore(eng, k=3)
+
+
+def _equity(spark):
+    store = VineyardStore(spark, equity.equity_graph(n_companies=40, n_persons=20, seed=5))
+    return lambda: equity.effective_ownership_grape(spark, store, max_depth=30)
+
+
+# name -> (setup returning the run, Spark jobs of the run and its collect)
+JOB_RUNS = {
+    "bfs": (_bfs_path, (PATH_EDGES + 1) + 1),
+    "flash_cc": (_flash_rmat, 3 + 1),  # 3 rounds
+    "sssp_pie": (_pie_rmat, 8 + 1),  # 8 rounds
+    "kcore": (_kcore_rmat, 3 + 1),  # 3 rounds
+    # engine build 2, 9 depths of 2 (extend, accumulate), the empty 10th 1, the collect 1
+    "equity": (_equity, 2 + 9 * 2 + 1 + 1),
+}
+
+
+@pytest.mark.parametrize("run", list(JOB_RUNS))
+def test_bfs_one_job_per_superstep(spark, run):
     """Convergence is read off the superstep's checkpoint: BFS along a
     directed path of k edges takes k + 1 supersteps (the last finds no
     change) and launches exactly one Spark job for each, plus one for
-    the final collect.  Adaptive execution is off, as in the benchmark:
-    it would split each superstep into one job per shuffle stage."""
-    k = 6
-    rows = [(i, i + 1, 1.0) for i in range(k)]
-    store, _, _ = _store(spark, rows)
-    eng = grape_engine(spark, store)
+    the final collect.  FLASH, PIE, k-core and the equity loop end their
+    rounds in the same barrier, one job per round.  Adaptive execution
+    is off, as in the benchmark: it would split each superstep into one
+    job per shuffle stage."""
+    k = PATH_EDGES
+    setup, want_jobs = JOB_RUNS[run]
+    go = setup(spark)
     sc = spark.sparkContext
     aqe = spark.conf.get("spark.sql.adaptive.enabled")
     spark.conf.set("spark.sql.adaptive.enabled", "false")
-    sc.setJobGroup("bfs-path-jobs", "bfs on a path")
+    sc.setJobGroup(f"{run}-jobs", run)
     try:
-        got = algorithms.bfs(eng, source=0).collect()
-        jobs = sc.statusTracker().getJobIdsForGroup("bfs-path-jobs")
+        got = go().collect()
+        jobs = sc.statusTracker().getJobIdsForGroup(f"{run}-jobs")
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
         sc.setLocalProperty("spark.job.description", None)
         spark.conf.set("spark.sql.adaptive.enabled", aqe)
-    assert sorted((r.id, r.dist) for r in got) == [(i, i) for i in range(k + 1)]
-    assert len(jobs) == (k + 1) + 1
+    if run == "bfs":
+        assert sorted((r.id, r.dist) for r in got) == [(i, i) for i in range(k + 1)]
+    assert len(jobs) == want_jobs

@@ -154,3 +154,16 @@ def test_gart_cache_bounded_and_snapshots(spark, pg):
     assert store.snapshot().version == v4
     for v in (v1, v2, v3, v4):
         check(v)
+
+
+def test_gart_delete_every_edge_of_a_label(spark, pg):
+    """Deleting every KNOWS edge and compacting leaves an empty KNOWS
+    label, and GART and Vineyard both build from the graph that remains."""
+    store = GartStore(spark, pg)
+    store.delete_edges("KNOWS", pg.edges["KNOWS"][["src", "dst"]])
+    store.compact()
+    assert store.edges("KNOWS").count() == 0
+    rest = store.to_property_graph()
+    for other in (GartStore(spark, rest), VineyardStore(spark, rest)):
+        assert other.edges("KNOWS").count() == 0
+        assert other.adjacency().count() == pg.num_edges - len(pg.edges["KNOWS"])

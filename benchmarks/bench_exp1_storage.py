@@ -26,9 +26,8 @@ from repro.query.planner import compile_plan
 from repro.storage import graphar
 from repro.storage.csr import StaticCSRStore
 from repro.storage.csv_loader import load_csv_graph, load_graphar_graph, write_csv
-from repro.storage.gart import GartStore
+from repro.storage.gart import GartStore, LiveGraphStore
 from repro.storage.grin import GraphStore, Trait
-from repro.storage.livegraph import LiveGraphStore
 from repro.storage.vineyard import VineyardStore
 
 BI_QUERY = """
@@ -73,7 +72,7 @@ def test_exp1a_grin_matrix(benchmark, spark, snb_pg, tmp_path):
     stores = {
         "Vineyard": VineyardStore(spark, snb_pg),
         "GART": GartStore(spark, snb_pg),
-        "GraphAr": GraphArStore_noDS(spark, tmp_path / "ar"),
+        "GraphAr": graphar.GraphArStore(spark, tmp_path / "ar"),
     }
 
     def run():
@@ -103,10 +102,6 @@ def test_exp1a_grin_matrix(benchmark, spark, snb_pg, tmp_path):
             gart_s=f"{row['GART'][0]:.2f}",
             graphar_s=f"{row['GraphAr'][0]:.2f}",
         )
-
-
-def GraphArStore_noDS(spark, path):
-    return graphar.GraphArStore(spark, path, use_datasource=False)
 
 
 def test_exp1b_grin_overhead(benchmark, spark, snb_pg):
@@ -219,7 +214,7 @@ def _scan(store):
     # touch every resolved edge
     from pyspark.sql import functions as F
 
-    return store.scan_edges().agg(F.sum("src"), F.sum("dst")).collect()
+    return store.adjacency().agg(F.sum("src"), F.sum("dst")).collect()
 
 
 def test_exp1c_gart_scan_throughput(benchmark, spark):

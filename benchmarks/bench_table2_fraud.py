@@ -2,10 +2,12 @@
 
 Paper (Table 2): 10/20/30/40 threads -> 98,907 / 184,826 / 279,005 /
 355,813 ops/s (near-linear).  Our sweep runs the same worker counts as
-OS processes over HiActor+GART state on a 16-core container, so
-scaling is near-linear up to the core count and saturates beyond it
-(noted in EXPERIMENTS.md).
+OS processes over HiActor+GART state, so scaling can be near-linear
+only up to the host's core count and saturates beyond it; each row
+records ``os.cpu_count()``.
 """
+import os
+
 from benchmarks._bench_utils import record
 
 from repro.usecases import fraud
@@ -27,6 +29,7 @@ def test_table2_fraud_throughput(benchmark):
         record(
             "Table 2: fraud detection throughput (ops/s)",
             workers=w,
+            host_cores=os.cpu_count(),
             paper_ops_s=f"{PAPER[w]:,}",
             paper_scaling=f"{PAPER[w] / PAPER[10]:.2f}x",
             measured_ops_s=f"{out[w]:,.0f}",

@@ -4,7 +4,7 @@
 * Terminal-summary hook printing every row recorded through
   ``benchmarks._bench_utils.record`` as paper-vs-measured tables (so
   ``bench_output.txt`` contains the reproduced tables), plus a
-  ``benchmarks/results.json`` dump consumed by EXPERIMENTS.md.
+  ``benchmarks/results.json`` dump of the same rows.
 """
 import json
 import os

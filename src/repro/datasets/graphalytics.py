@@ -6,8 +6,9 @@ datagen/graph500 families) plus the *paper's* |V| and |E| so the
 Table-1 harness can print paper-vs-scaled side by side.
 
 ``SCALE_DIVISOR`` ~= 1e4: a 1.8B-edge graph becomes ~180k edges — large
-enough to exercise shuffles at the benchmark tier, small enough for a
-16-core container.  Tests pass ``max_edges`` to shrink further.
+enough to exercise shuffles at the benchmark tier, small enough for one
+host running Spark in local mode.  Tests pass ``max_edges`` to shrink
+further.
 """
 from __future__ import annotations
 

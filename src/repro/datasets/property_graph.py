@@ -51,6 +51,11 @@ class PropertyGraph:
             pdf[["src", "dst"]].assign(label=label)
             for label, pdf in self.edges.items()
         ]
+        if not parts:  # a graph without edge labels
+            return pd.DataFrame(
+                {"src": pd.Series(dtype="int64"), "dst": pd.Series(dtype="int64"),
+                 "label": pd.Series(dtype=object)}
+            )
         return pd.concat(parts, ignore_index=True)
 
     @property

@@ -6,7 +6,8 @@ keeps the same component ids and the same compatibility logic: each
 engine component declares the GRIN traits it requires, each storage
 component provides the ``TRAITS`` its store class declares, and
 :func:`flexbuild` validates a selection and returns a :class:`Stack`
-whose factories construct exactly the chosen pieces.
+that records it.  The stack constructs nothing: callers build the
+chosen store and engines themselves.
 
 Examples from the paper (§3, "flexbuild and Customized Deployments"):
 

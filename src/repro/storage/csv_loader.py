@@ -54,5 +54,5 @@ def load_csv_graph(spark: SparkSession, root: str | Path) -> VineyardStore:
 
 def load_graphar_graph(spark: SparkSession, root: str | Path) -> VineyardStore:
     """Build the same in-memory graph from a GraphAr archive (fast path)."""
-    pg = GraphArStore(spark, root, use_datasource=False).to_property_graph()
+    pg = GraphArStore(spark, root).to_property_graph()
     return VineyardStore(spark, pg)

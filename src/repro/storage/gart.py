@@ -14,9 +14,10 @@ structure the paper credits for GART's read performance:
   the base with an anti-join.
 
 A read at version ``v`` is base ⊖ tombstones(≤v) ⊕ delta(≤v): cheap
-when the delta is small (cost ≈ static CSR, Exp-1b's 73.5%), while the
-LiveGraph baseline must resolve per-record version chains with a
-shuffle on *every* scan.  ``compact()`` folds the delta into a new
+when the delta is small (cost ≈ static CSR, Exp-1c's 73.5%), while the
+LiveGraph baseline (:class:`LiveGraphStore`, the same log without a
+compacted base) must resolve per-record version chains with a shuffle
+on *every* scan.  ``compact()`` folds the delta into a new
 base, exactly like GART's segment compaction, rebuilding only the
 labels written since the last base and dropping every memoised delta,
 so the frames Spark caches stay one per edge label however long the
@@ -54,8 +55,8 @@ class GartStore(GraphStore):
         self._spark = spark
         self._signatures = dict(pg.edge_signatures)
         self._write_version = 0
-        # vertex frames: mutable via append (MVCC kept edge-level, as in
-        # GART's paper evaluation which is dominated by edge updates).
+        # vertex frames: unversioned (MVCC kept edge-level, as in GART's
+        # paper evaluation which is dominated by edge updates).
         self._v_pdf = {l: p.copy() for l, p in pg.vertices.items()}
         # edge MVCC log: per-label pandas with create/delete versions.
         self._log: dict[str, pd.DataFrame] = {
@@ -102,12 +103,6 @@ class GartStore(GraphStore):
         )
         log.loc[mask, "dv"] = np.int64(self._write_version)
         self._dirty.add(label)
-        return self._write_version
-
-    def insert_vertices(self, label: str, pdf: pd.DataFrame) -> int:
-        self._write_version += 1
-        self._v_pdf[label] = pd.concat([self._v_pdf[label], pdf], ignore_index=True)
-        self._v_df.pop(label, None)
         return self._write_version
 
     def compact(self, *, eager: bool = True) -> None:
@@ -239,3 +234,63 @@ class GartSnapshot(GraphStore):
     def edges(self, label: str, *, predicate: str | None = None) -> DataFrame:
         df = self._resolved(label)
         return df.filter(predicate) if predicate else df
+
+
+class LiveGraphStore(GartStore):
+    """LiveGraph-analog (Exp-1c baseline): GART's MVCC log, never compacted.
+
+    LiveGraph (Zhu et al., VLDB'20) appends every edge version to a log
+    and keeps no compacted base, so a scan resolves, per ``(src, dst)``,
+    the record visible at its version.  Here the write path, the cached
+    vertex frames and the schema are GART's; what differs is that Spark
+    caches the whole log, dead records included, and that every
+    snapshot read pays the resolve as a shuffle (``groupBy`` on the edge
+    key).  A read returns one row per live key, with the properties of
+    its latest record.
+    """
+
+    name = "livegraph"
+    TRAITS = Trait.TOPOLOGY | Trait.PROPERTY | Trait.MUTABLE | Trait.VERSIONED
+
+    def _rebuild_base(self, labels, *, eager: bool) -> None:
+        for label in labels:
+            old = self._base_e.get(label)
+            if old is not None:
+                old.unpersist()
+            # the log is cached (it IS in memory, like LiveGraph): the cost
+            # under test is the per-scan version resolve, not I/O
+            log = to_spark(self._spark, self._log[label]).cache()
+            if eager:
+                log.count()
+            self._base_e[label] = log
+
+    def compact(self, *, eager: bool = True) -> None:
+        """No-op: LiveGraph keeps every version record."""
+
+    def snapshot(self, version: int | None = None) -> "LiveGraphSnapshot":
+        return LiveGraphSnapshot(self, super().snapshot(version).version)
+
+
+class LiveGraphSnapshot(GartSnapshot):
+    """LiveGraph read view at one version: a version resolve per scan."""
+
+    name = "livegraph"
+    TRAITS = LiveGraphStore.TRAITS
+
+    def _resolved(self, label: str) -> DataFrame:
+        """Latest record per ``(src, dst)`` created by ``self.version``,
+        kept when it is still live then: the shuffle every LiveGraph
+        scan pays.  A label written since it was cached is re-cached
+        first."""
+        s, v = self._s, self.version
+        if label in s._dirty:
+            s._rebuild_base([label], eager=False)
+            s._dirty.discard(label)
+        log = s._base_e[label]
+        props = [c for c in log.columns if c not in ("src", "dst", "cv", "dv")]
+        latest = (
+            log.filter(F.col("cv") <= v)
+            .groupBy("src", "dst")
+            .agg(F.max("dv").alias("dv"), *(F.max_by(c, "cv").alias(c) for c in props))
+        )
+        return latest.filter(F.col("dv") > v).drop("dv")

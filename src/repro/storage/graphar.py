@@ -19,12 +19,14 @@ The pieces of the paper's design reproduced here:
 * **DataSourceV2 registration** — :class:`GraphArDataSource` is a
   Spark 4 *Python* DataSource (``spark.read.format("graphar")``), the
   Python surface of DSv2 (schema + partition planning + per-partition
-  scan).  A JVM DSv2 is out of scope: no JVM build toolchain in the
-  container (documented in DESIGN.md §5).
+  scan), registered on a session by :func:`register_datasource`.
+  :class:`GraphArStore` does not go through it: it reads the parquet
+  chunks with ``spark.read.parquet``.  A JVM DSv2 is out of scope: no
+  JVM build toolchain in the container (documented in DESIGN.md §5).
 * **fast graph construction** — internal ids and src-sorting are done
   once at archive-write time, so building an in-memory graph from
   GraphAr skips the parse/assign/sort work the CSV baseline pays
-  (Exp-1c's ~5×).
+  (Exp-1d's ~5×).
 """
 from __future__ import annotations
 
@@ -191,7 +193,7 @@ def register_datasource(spark: SparkSession) -> None:
 # GraphStore over an archive (the external backend of Exp-1a)
 # ---------------------------------------------------------------------------
 class GraphArStore(GraphStore):
-    """Reads straight off the archive on every access — no memory residency.
+    """Reads the archive's parquet chunks on every access — no memory residency.
 
     Slowest backend in Exp-1a by design ("extra I/O overheads for direct
     data retrieval due to its archiving-focused design").
@@ -202,13 +204,10 @@ class GraphArStore(GraphStore):
         Trait.TOPOLOGY | Trait.PROPERTY | Trait.PARTITION | Trait.INDEX | Trait.PREDICATE_PUSHDOWN
     )
 
-    def __init__(self, spark: SparkSession, root: str | Path, *, use_datasource: bool = True):
+    def __init__(self, spark: SparkSession, root: str | Path):
         self._spark = spark
         self._root = str(root)
         self._meta = read_metadata(root)
-        self._use_ds = use_datasource
-        if use_datasource:
-            register_datasource(spark)
 
     def vertex_labels(self) -> list[str]:
         return list(self._meta["vertex_labels"])
@@ -221,14 +220,6 @@ class GraphArStore(GraphStore):
         return (s[0], s[1])
 
     def _read(self, kind: str, label: str) -> DataFrame:
-        if self._use_ds:
-            return (
-                self._spark.read.format("graphar")
-                .option("path", self._root)
-                .option("label", label)
-                .option("kind", kind)
-                .load()
-            )
         key = "edge_chunks" if kind == "edge" else "vertex_chunks"
         files = [str(Path(self._root) / c["file"]) for c in self._meta[key][label]]
         return self._spark.read.parquet(*files)

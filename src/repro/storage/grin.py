@@ -87,6 +87,9 @@ class GraphStore(ABC):
             self.edges(l).select("src", "dst", F.lit(l).alias("label"))
             for l in self.edge_labels()
         ]
+        if not parts:  # a graph without edge labels
+            empty = "src long, dst long, label string"
+            parts = [SparkSession.active().createDataFrame([], empty)]
         out = reduce(DataFrame.unionByName, parts)
         if direction == "in":
             out = out.selectExpr("dst as src", "src as dst", "label")
@@ -102,15 +105,6 @@ class GraphStore(ABC):
         if label is not None:
             return self.edges(label).count()
         return sum(self.edges(l).count() for l in self.edge_labels())
-
-    # -- scan path (Exp-1b edge-scan throughput) ------------------------
-    def scan_edges(self) -> DataFrame:
-        """Full resolved edge scan — what Exp-1b times.
-
-        Backends override when resolving the current edge set costs
-        more than a plain read (LiveGraph version chains, GART delta).
-        """
-        return self.adjacency()
 
 
 def require(store: GraphStore, needed: Trait) -> None:

@@ -4,10 +4,10 @@ import pandas as pd
 import pytest
 
 from repro.datasets import graphalytics, graphs, snb
-from repro.storage.gart import GartStore
-from repro.storage.graphar import GraphArStore, fetch_neighbors, write_graphar
+from repro.datasets.property_graph import PropertyGraph
+from repro.storage.gart import GartStore, LiveGraphStore
+from repro.storage.graphar import GraphArStore, fetch_neighbors, register_datasource, write_graphar
 from repro.storage.grin import Trait
-from repro.storage.livegraph import LiveGraphStore
 from repro.storage.csr import NumpyCSR, StaticCSRStore
 from repro.storage.vineyard import VineyardStore
 
@@ -61,21 +61,9 @@ def test_gart_mvcc(spark, pg):
     assert store.edges("KNOWS").count() == n0
 
 
-def test_livegraph_matches_gart(spark, pg):
-    gart = GartStore(spark, pg)
-    lg = LiveGraphStore(spark, pg)
-    new = pd.DataFrame({"src": [snb.PERSON_BASE + 2], "dst": [snb.PERSON_BASE + 3],
-                        "creationDate": [9999]})
-    gart.insert_edges("KNOWS", new)
-    lg.insert_edges("KNOWS", new)
-    a = set(map(tuple, gart.adjacency().select("src", "dst").collect()))
-    b = set(map(tuple, lg.adjacency().select("src", "dst").collect()))
-    assert a == b
-
-
 def test_graphar_roundtrip(spark, pg, tmp_path):
     write_graphar(pg, tmp_path, edge_chunk_size=200)
-    store = GraphArStore(spark, tmp_path, use_datasource=False)
+    store = GraphArStore(spark, tmp_path)
     assert store.edges("KNOWS").count() == len(pg.edges["KNOWS"])
     vid = int(pg.edges["KNOWS"].src.iloc[0])
     nb = fetch_neighbors(tmp_path, "KNOWS", vid)
@@ -85,8 +73,8 @@ def test_graphar_roundtrip(spark, pg, tmp_path):
 
 def test_graphar_datasource(spark, pg, tmp_path):
     write_graphar(pg, tmp_path, edge_chunk_size=200)
-    store = GraphArStore(spark, tmp_path, use_datasource=True)
-    df = store.edges("KNOWS")
+    register_datasource(spark)
+    df = spark.read.format("graphar").option("path", str(tmp_path)).option("label", "KNOWS").load()
     assert df.count() == len(pg.edges["KNOWS"])
 
 
@@ -167,3 +155,18 @@ def test_gart_delete_every_edge_of_a_label(spark, pg):
     for other in (GartStore(spark, rest), VineyardStore(spark, rest)):
         assert other.edges("KNOWS").count() == 0
         assert other.adjacency().count() == pg.num_edges - len(pg.edges["KNOWS"])
+
+
+def test_graph_without_edge_labels(spark):
+    """A vertex-only graph has an empty (src, dst, label) edge list, and
+    Vineyard, GART and LiveGraph built from it have empty adjacency."""
+    vo = PropertyGraph()
+    vo.add_vertices("Person", pd.DataFrame({"id": np.arange(3, dtype=np.int64)}))
+    e = vo.all_edges()
+    assert list(e.columns) == ["src", "dst", "label"] and len(e) == 0
+    assert e.src.dtype == np.int64 and e.dst.dtype == np.int64
+    for store in (VineyardStore(spark, vo), GartStore(spark, vo), LiveGraphStore(spark, vo)):
+        for direction in ("out", "in"):
+            adj = store.adjacency(direction=direction)
+            assert adj.columns == ["src", "dst", "label"]
+            assert adj.count() == 0, (store.name, direction)

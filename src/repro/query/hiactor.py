@@ -7,26 +7,36 @@ concurrent actors.  The analog here: a driver-local engine holding
 * per-label property tables sorted by vertex id, looked up by position
   (``searchsorted`` on the id column, then a take from the column
   arrays — :class:`_VertexTable`), and
-* per-(edge label, direction) adjacency over sorted keys including edge
-  properties (:class:`_AdjIndex`), read a whole frontier at a time with
-  one batch gather (:meth:`_AdjIndex.gather`),
+* per-(edge label, direction) adjacency including edge properties
+  (:class:`_AdjIndex`): a base sorted by key plus a small append-only
+  delta in the same arrays, read a whole frontier at a time with one
+  batch gather (:meth:`_AdjIndex.gather`),
 
 built once from any GRIN store's :meth:`to_property_graph` view (the
 Vineyard/GART zero-copy sharing path).  It is the only driver-local
 OLTP index.  The same physical plans Gaia runs distributed execute
 here, each operator vectorised over all rows of the query; tests assert
 both engines return identical rows.  Besides plans, the engine serves
-point and batch reads and copy-on-write writes (``vertex``,
-``neighbors_batch``, ``add_edge``, ...): the SNB-interactive queries
+point and batch reads and writes (``vertex``, ``neighbors_batch``,
+``add_edge``, ...): the SNB-interactive queries
 (:mod:`repro.query.snb_interactive`) run on them, and the fraud check
-(:mod:`repro.usecases.fraud`) reads the same two structures.  A write
-is visible to every later plan and read.  The fraud benchmark's
-throughput sweep uses a process pool (true parallelism), the analog of
-HiActor's shard-per-core loop.
+(:mod:`repro.usecases.fraud`) reads the same two structures.
+
+A write is an O(1) amortised append, as in GART's mutable CSR (Shen et
+al., USENIX ATC'23) and LiveGraph's edge log (Zhu et al., VLDB'20): it
+fills the next spare slot of arrays that successive versions share and
+publishes a new table or index whose views end one slot later, so a
+reader holding the old one still sees one version.  When the spare
+slots run out, the insert folds the delta into a fresh sorted base.
+One lock per engine serialises writes; reads take none.  A write is
+visible to every later plan and read.  The fraud benchmark's throughput
+sweep uses a process pool (true parallelism), the analog of HiActor's
+shard-per-core loop.
 """
 from __future__ import annotations
 
 import operator
+import threading
 
 import numpy as np
 import pandas as pd
@@ -36,22 +46,70 @@ from repro.query import ir
 from repro.storage.csr import gather_segments, stable_argsort
 
 
+_NO_SLOTS = np.empty(0, dtype=np.intp)  # an empty delta's slots (never written)
+
+
+def _spare(n: int) -> int:
+    """Slots beyond ``n`` live entries that fresh arrays get; the insert
+    that allocates them takes one."""
+    return max(256, n // 32)
+
+
+def _put(a: np.ndarray, at: int, value) -> np.ndarray:
+    """A copy of ``a`` with ``value`` inserted before position ``at``
+    (``np.insert`` for one value, without its argument handling)."""
+    out = np.empty(len(a) + 1, dtype=a.dtype)
+    out[:at], out[at], out[at + 1 :] = a[:at], value, a[at:]
+    return out
+
+
 class _AdjIndex:
-    """Sorted-array adjacency for one (edge label, direction)."""
+    """Adjacency for one (edge label, direction): a sorted base and an
+    append-only delta in the same arrays.
+
+    Slots ``[0, nb)`` are the base, sorted by key; slots ``[nb, n)`` are
+    the delta, in arrival order, found through ``_dkeys`` (the delta's
+    keys, sorted) and ``_dslots`` (the slot of each, ascending within a
+    key).  ``keys``/``nbrs``/``props`` are views of the live slots
+    ``[0, n)``, so a key's entries are its base entries, then its delta
+    entries, each in arrival order.
+
+    Successive versions share the arrays, and ``_filled`` (shared too)
+    counts the slots any of them has written.  :meth:`insert` writes slot
+    ``n`` and returns a new index ending at ``n + 1``; this one never
+    looks past its own ``n``, so a reader holding it sees one version.
+    When slot ``n`` is not free (the arrays are full, or a newer version
+    has written it), the insert first folds base and delta into fresh
+    arrays sorted by key, with at most ``max(256, n // 32)`` spare slots.
+    Inserts into one family of versions must be serialised by the caller.
+    """
 
     def __init__(self, keys: np.ndarray, nbrs: np.ndarray, props: dict[str, np.ndarray]):
-        order = stable_argsort(keys)
-        self.keys = keys[order]
-        self.nbrs = nbrs[order]
-        self.props = {k: v[order] for k, v in props.items()}
+        order = stable_argsort(keys)  # no spare slots: the first insert folds
+        arrays = (keys[order], nbrs[order], {c: a[order] for c, a in props.items()})
+        self._set(arrays, [len(keys)], len(keys), len(keys), arrays[0][:0], _NO_SLOTS)
 
-    def slice(self, vid: int) -> slice:
-        lo = np.searchsorted(self.keys, vid, "left")
-        hi = np.searchsorted(self.keys, vid, "right")
-        return slice(int(lo), int(hi))
+    def _set(self, arrays: tuple, filled: list[int], n: int, nb: int,
+             dkeys: np.ndarray, dslots: np.ndarray) -> None:
+        """Make this the version ``[0, n)`` of ``arrays`` (keys, nbrs and
+        props buffers) with base ``[0, nb)``."""
+        self._arrays, self._filled = arrays, filled
+        self.n, self.nb, self._dkeys, self._dslots = n, nb, dkeys, dslots
+        kb, vb, pb = arrays
+        self._base, self.keys, self.nbrs = kb[:nb], kb[:n], vb[:n]
+        self.props = {c: a[:n] for c, a in pb.items()}
+
+    def slots(self, vid: int) -> slice | np.ndarray:
+        """Slots of the entries of ``vid``: a slice of the base, or the
+        slice's slots followed by the delta's when the delta holds some."""
+        lo, hi = self._base.searchsorted(vid, "left"), self._base.searchsorted(vid, "right")
+        dlo, dhi = self._dkeys.searchsorted(vid, "left"), self._dkeys.searchsorted(vid, "right")
+        if dlo == dhi:
+            return slice(lo, hi)
+        return np.concatenate([np.arange(lo, hi), self._dslots[dlo:dhi]])
 
     def neighbors(self, vid: int) -> np.ndarray:
-        return self.nbrs[self.slice(vid)]
+        return self.nbrs[self.slots(vid)]
 
     def gather(self, vids) -> tuple[np.ndarray, np.ndarray]:
         """Entries of a whole frontier at once.
@@ -63,52 +121,98 @@ class _AdjIndex:
         with no entries contributes none.
         """
         vids = np.asarray(vids)
-        return gather_segments(
-            np.searchsorted(self.keys, vids, "left"), np.searchsorted(self.keys, vids, "right")
-        )
+        lo, hi = self._base.searchsorted(vids, "left"), self._base.searchsorted(vids, "right")
+        dlo, dhi = self._dkeys.searchsorted(vids, "left"), self._dkeys.searchsorted(vids, "right")
+        if not (dhi > dlo).any():  # the frontier has no delta entry
+            return gather_segments(lo, hi)
+        # each id's base range, extended by its delta count; the overflow
+        # past the base range is remapped to the delta's slots
+        row, take = gather_segments(lo, hi + dhi - dlo)
+        d = take >= hi[row]
+        take[d] = self._dslots[take[d] + (dlo - hi)[row[d]]]
+        return row, take
 
     def insert(self, key: int, nbr: int, props: dict) -> _AdjIndex:
-        """A copy with the entry ``key -> nbr`` added after the entries
-        of ``key`` (a property missing from ``props`` is 0).  Like
-        :meth:`_VertexTable.insert`, the index itself never changes, so
-        a reader holding it sees keys, neighbours and properties of one
-        version."""
-        pos = int(np.searchsorted(self.keys, key, "right"))
-        new = object.__new__(_AdjIndex)  # already in key order: no sort
-        new.keys = np.insert(self.keys, pos, key)
-        new.nbrs = np.insert(self.nbrs, pos, nbr)
-        new.props = {c: np.insert(a, pos, props.get(c, 0)) for c, a in self.props.items()}
+        """This index with the entry ``key -> nbr`` appended after the
+        entries of ``key`` (a property missing from ``props`` is 0), in
+        O(1) amortised time: it goes to slot ``n`` of the shared arrays,
+        after a fold when that slot is not free (see the class
+        docstring).  ``self`` keeps reading its own version."""
+        idx = self if self.n == self._filled[0] < len(self._arrays[0]) else self._fold()
+        n, (kb, vb, pb) = idx.n, idx._arrays
+        kb[n], vb[n] = key, nbr
+        for c, a in pb.items():
+            a[n] = props.get(c, 0)
+        idx._filled[0] = n + 1
+        at = int(idx._dkeys.searchsorted(key, "right"))
+        new = object.__new__(_AdjIndex)
+        new._set(idx._arrays, idx._filled, n + 1, idx.nb, _put(idx._dkeys, at, key),
+                 _put(idx._dslots, at, n))
+        return new
+
+    def _fold(self) -> _AdjIndex:
+        """This version with base and delta merged into fresh arrays
+        sorted by key (a key keeps its entries' order) and spare slots."""
+        n, order = self.n, stable_argsort(self.keys)
+
+        def fresh(a: np.ndarray) -> np.ndarray:
+            out = np.empty(n + _spare(n), dtype=a.dtype)
+            out[:n] = a[order]
+            return out
+
+        arrays = (fresh(self.keys), fresh(self.nbrs), {c: fresh(a) for c, a in self.props.items()})
+        new = object.__new__(_AdjIndex)
+        new._set(arrays, [n], n, n, arrays[0][:0], _NO_SLOTS)
         return new
 
 
 class _VertexTable:
     """One label's vertex properties, sorted by id and looked up by position.
 
-    ``frame`` holds every property and ``cols`` are views of its columns:
-    a lookup is a ``searchsorted`` on ``cols["id"]`` (:func:`find_rows`)
-    and a take from the column arrays, and the views cost no second copy.
-    A table is never changed in place; :meth:`insert` returns a new one,
-    so a reader holding a table sees ids and columns of one version.
+    ``cols`` are views of the live rows ``[0, n)`` of column arrays: a
+    lookup is a ``searchsorted`` on ``cols["id"]`` (:func:`find_rows`)
+    and a take from the column arrays.  Successive versions share the
+    arrays, and ``_filled`` (shared too) counts the rows any of them has
+    written.  :meth:`insert` of an id at or above every id present writes
+    row ``n`` in place and returns a new table ending at ``n + 1``; this
+    one never looks past its own ``n``, so a reader holding it sees one
+    version.  Any other insert (an id inside the range, full arrays, or a
+    row ``n`` a newer version has written) copies the rows into fresh
+    arrays with at most ``max(256, n // 32)`` spare slots.  Inserts into
+    one family of versions must be serialised by the caller.
     """
 
-    def __init__(self, frame: pd.DataFrame):
-        self.frame = frame
-        self.cols = {c: frame[c].to_numpy() for c in frame.columns}
+    def __init__(self, arrays: dict[str, np.ndarray], n: int, filled: list[int]):
+        self._arrays, self.n, self._filled = arrays, n, filled
+        self.cols = {c: a[:n] for c, a in arrays.items()}
 
     @classmethod
     def from_frame(cls, pdf: pd.DataFrame) -> _VertexTable:
-        return cls(pdf.sort_values("id", kind="stable", ignore_index=True))
+        pdf = pdf.sort_values("id", kind="stable", ignore_index=True)
+        return cls({c: pdf[c].to_numpy() for c in pdf.columns}, len(pdf), [len(pdf)])
+
+    @property
+    def frame(self) -> pd.DataFrame:
+        """Every live row, as a frame over the column views."""
+        return pd.DataFrame(self.cols, copy=False)
 
     def find(self, vids) -> tuple[np.ndarray, np.ndarray]:
         return find_rows(self.cols["id"], vids)
 
     def insert(self, row: dict) -> _VertexTable:
-        """A copy with ``row`` added at its place in id order."""
-        pos = int(np.searchsorted(self.cols["id"], row["id"], "right"))
-        return _VertexTable(pd.DataFrame({
-            c: np.concatenate([a[:pos], np.asarray([row[c]]), a[pos:]])
-            for c, a in self.cols.items()
-        }, copy=False))
+        """This table with ``row`` added after the rows of its id."""
+        n = self.n
+        pos = int(self.cols["id"].searchsorted(row["id"], "right"))
+        arrays, filled = self._arrays, self._filled
+        if not pos == n == filled[0] < len(arrays["id"]):
+            arrays, filled = {}, [n]
+            for c, a in self.cols.items():
+                b = arrays[c] = np.empty(n + _spare(n), dtype=a.dtype)
+                b[:pos], b[pos + 1 : n + 1] = a[:pos], a[pos:]
+        for c, b in arrays.items():
+            b[pos] = row[c]
+        filled[0] = n + 1
+        return _VertexTable(arrays, n + 1, filled)
 
 
 def find_rows(ids: np.ndarray, vids) -> tuple[np.ndarray, np.ndarray]:
@@ -129,14 +233,16 @@ class HiActorEngine:
     """In-memory interpreter for physical GraphIR plans, and the access
     path of the SNB-interactive queries over the same structures.
 
-    Writes are copy-on-write: each one builds a new table or index and
-    swaps it into ``tables``/``adj`` in one assignment, so a reader that
-    took a structure sees one version of it (the benchmarks drive reads
-    and updates from a worker pool).
+    A write appends to a table or index and swaps the new version into
+    ``tables``/``adj`` in one assignment, so a reader that took a
+    structure sees one version of it (the benchmarks drive reads and
+    updates from a worker pool).  Writers hold ``_write_lock``: the
+    read, append and swap of a write are one step for other writers.
     """
 
     def __init__(self, pg: PropertyGraph):
         self.signatures = dict(pg.edge_signatures)
+        self._write_lock = threading.Lock()
         self.tables = {l: _VertexTable.from_frame(p) for l, p in pg.vertices.items()}
         self.adj: dict[tuple[str, str], _AdjIndex] = {}
         for label, pdf in pg.edges.items():
@@ -149,7 +255,7 @@ class HiActorEngine:
 
     @property
     def vprops(self) -> dict[str, pd.DataFrame]:
-        """Every vertex property, one frame per label."""
+        """Every vertex property, one frame per label (live rows only)."""
         return {l: t.frame for l, t in self.tables.items()}
 
     # -- point and batch reads -----------------------------------------
@@ -198,16 +304,18 @@ class HiActorEngine:
             n2, p2 = self.neighbors_with_prop(vid, elabel, "in", prop)
             return np.concatenate([n1, n2]), np.concatenate([p1, p2])
         idx = self.adj[(elabel, direction)]
-        sl = idx.slice(vid)
+        sl = idx.slots(vid)
         return idx.nbrs[sl], idx.props[prop][sl]
 
     # -- writes ----------------------------------------------------------
     def add_vertex(self, label: str, row: dict) -> None:
-        self.tables[label] = self.tables[label].insert(row)
+        with self._write_lock:
+            self.tables[label] = self.tables[label].insert(row)
 
     def add_edge(self, elabel: str, src: int, dst: int, props: dict) -> None:
-        for d, key, nbr in (("out", src, dst), ("in", dst, src)):
-            self.adj[(elabel, d)] = self.adj[(elabel, d)].insert(key, nbr, props)
+        with self._write_lock:
+            for d, key, nbr in (("out", src, dst), ("in", dst, src)):
+                self.adj[(elabel, d)] = self.adj[(elabel, d)].insert(key, nbr, props)
 
     # -- plan interpretation -------------------------------------------
     # Between operators a relation is a dict of equal-length column

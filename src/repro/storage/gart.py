@@ -81,10 +81,8 @@ class GartStore(GraphStore):
 
     def insert_edges(self, label: str, pdf: pd.DataFrame) -> int:
         """Append edges at a new version; returns that version."""
+        self._check_label(label)
         self._write_version += 1
-        sl_dl = self._signatures.get(label)
-        if sl_dl is None:
-            raise KeyError(f"unknown edge label {label!r}")
         rows = pdf.copy()
         rows["cv"] = np.int64(self._write_version)
         rows["dv"] = np.int64(LIVE)
@@ -94,6 +92,7 @@ class GartStore(GraphStore):
 
     def delete_edges(self, label: str, keys: pd.DataFrame) -> int:
         """Tombstone live (src, dst) records at a new version."""
+        self._check_label(label)
         self._write_version += 1
         log = self._log[label]
         key = pd.MultiIndex.from_frame(keys[["src", "dst"]])
@@ -104,6 +103,11 @@ class GartStore(GraphStore):
         log.loc[mask, "dv"] = np.int64(self._write_version)
         self._dirty.add(label)
         return self._write_version
+
+    def _check_label(self, label: str) -> None:
+        """A write to an unknown label fails before it takes a version."""
+        if label not in self._signatures:
+            raise KeyError(f"unknown edge label {label!r}")
 
     def compact(self, *, eager: bool = True) -> None:
         """Fold delta+tombstones into a fresh base at the current version.
@@ -166,10 +170,14 @@ class GartStore(GraphStore):
         for label, pdf in self._v_pdf.items():
             pg.add_vertices(label, pdf)
         for label, log in self._log.items():
-            live = log[(log.cv <= v) & (log.dv > v)].drop(columns=["cv", "dv"])
             sl, dl = self._signatures[label]
-            pg.add_edges(label, live, src_label=sl, dst_label=dl)
+            pg.add_edges(label, self._live_rows(log, v), src_label=sl, dst_label=dl)
         return pg
+
+    @staticmethod
+    def _live_rows(log: pd.DataFrame, v: int) -> pd.DataFrame:
+        """The records of a label's log live at version ``v``."""
+        return log[(log.cv <= v) & (log.dv > v)].drop(columns=["cv", "dv"])
 
 
 class GartSnapshot(GraphStore):
@@ -266,6 +274,16 @@ class LiveGraphStore(GartStore):
 
     def compact(self, *, eager: bool = True) -> None:
         """No-op: LiveGraph keeps every version record."""
+
+    @staticmethod
+    def _live_rows(log: pd.DataFrame, v: int) -> pd.DataFrame:
+        """One row per ``(src, dst)`` live at version ``v``, with the
+        properties of its latest record: what a snapshot read returns.
+        The log is in version order, so the latest record is the last;
+        a delete tombstones every live record of a key, so the latest
+        record is live exactly when the key is."""
+        latest = log[log.cv <= v].drop_duplicates(["src", "dst"], keep="last")
+        return latest[latest.dv > v].drop(columns=["cv", "dv"])
 
     def snapshot(self, version: int | None = None) -> "LiveGraphSnapshot":
         return LiveGraphSnapshot(self, super().snapshot(version).version)

@@ -91,6 +91,10 @@ def test_snapshots_match_model(spark, ops):
             assert got_gart[v] == _rows(rows), ("gart", v)
         latest = rows.drop_duplicates(["src", "dst"], keep="last")
         assert got_lg[v] == _rows(latest), ("livegraph", v)
+    for v, rows in want.items():  # the pandas view, at every version
+        assert _rows(gart.to_property_graph(v).edges["E"]) == _rows(rows), ("gart pg", v)
+        latest = rows.drop_duplicates(["src", "dst"], keep="last")
+        assert _rows(lg.to_property_graph(v).edges["E"]) == _rows(latest), ("livegraph pg", v)
     for store in (gart, lg):
         for direction in ("out", "in"):
             got = sorted(map(tuple, store.adjacency(direction=direction).select("src", "dst").collect()))
@@ -98,6 +102,19 @@ def test_snapshots_match_model(spark, ops):
             if store is lg:
                 pairs = pairs.drop_duplicates()
             assert got == sorted(map(tuple, pairs.itertuples(index=False))), (store.name, direction)
+
+
+@pytest.mark.parametrize("cls", [GartStore, LiveGraphStore])
+def test_write_to_unknown_label_takes_no_version(spark, cls):
+    store = cls(spark, _graph(), eager=False)
+    v = store.insert_edges("E", pd.DataFrame({"src": [2], "dst": [1], "w": [7.5]}))
+    before = _rows(store.snapshot().edges("E").toPandas())
+    with pytest.raises(KeyError):
+        store.insert_edges("X", pd.DataFrame({"src": [0], "dst": [1], "w": [1.0]}))
+    with pytest.raises(KeyError):
+        store.delete_edges("X", _keys([(0, 1)]))
+    assert store.write_version == v
+    assert _rows(store.snapshot().edges("E").toPandas()) == before
 
 
 def test_livegraph_edges_carry_inserted_properties(spark):

@@ -16,11 +16,18 @@ built once from any GRIN store's :meth:`to_property_graph` view (the
 Vineyard/GART zero-copy sharing path).  It is the only driver-local
 OLTP index.  The same physical plans Gaia runs distributed execute
 here, each operator vectorised over all rows of the query; tests assert
-both engines return identical rows.  Besides plans, the engine serves
-point and batch reads and writes (``vertex``, ``neighbors_batch``,
-``add_edge``, ...): the SNB-interactive queries
-(:mod:`repro.query.snb_interactive`) run on them, and the fraud check
-(:mod:`repro.usecases.fraud`) reads the same two structures.
+both engines return identical rows.  An operator takes only the columns
+the plan reads: a vertex's id and the properties the plan names, and of
+a fused ExpandVertex's edge properties only those its own predicate
+reads.  GroupBy and DISTINCT number groups with one ``pd.factorize``
+per key; OrderBy sorts signed integer and bool keys as they are, and
+when a Limit follows it sorts only the rows that can reach the first
+k.  ``execute(plan, profile=[])`` records rows out and microseconds per
+operator.  Besides plans, the engine serves point and batch reads and
+writes (``vertex``, ``neighbors_batch``, ``add_edge``, ...): the
+SNB-interactive queries (:mod:`repro.query.snb_interactive`) run on
+them, and the fraud check (:mod:`repro.usecases.fraud`) reads the same
+two structures.
 
 A write is an O(1) amortised append, as in GART's mutable CSR (Shen et
 al., USENIX ATC'23) and LiveGraph's edge log (Zhu et al., VLDB'20): it
@@ -36,7 +43,9 @@ shard-per-core loop.
 from __future__ import annotations
 
 import operator
+import re
 import threading
+import time
 
 import numpy as np
 import pandas as pd
@@ -321,13 +330,25 @@ class HiActorEngine:
     # Between operators a relation is a dict of equal-length column
     # arrays; only the result, joins and Raw predicates build a pandas
     # frame (per-operator frame construction cost more than the work).
-    def execute(self, plan) -> pd.DataFrame:
+    def execute(self, plan, profile: list | None = None) -> pd.DataFrame:
+        """Run a physical plan and return its rows as a frame.
+
+        With ``profile`` (a list), append ``(op, rows_out, us)`` for every
+        operator of ``plan`` as it finishes (a Join's time includes its
+        sub-plans)."""
+        props = _read_props(plan)
         rel: Rel | None = None
-        for op in plan:
-            rel = self._apply(rel, op)
+        for i, op in enumerate(plan):
+            nxt = plan[i + 1] if i + 1 < len(plan) else None
+            if profile is None:
+                rel = self._apply(rel, op, props, nxt)
+                continue
+            t0 = time.perf_counter()
+            rel = self._apply(rel, op, props, nxt)
+            profile.append((op, _nrows(rel), (time.perf_counter() - t0) * 1e6))
         return pd.DataFrame(rel)
 
-    def _vertex_rel(self, label: str, alias: str, predicate) -> Rel:
+    def _vertex_rel(self, label: str, alias: str, predicate, props) -> Rel:
         t = self.tables[label]
         # INDEX trait fast path: the first id-equality predicate becomes
         # a positional lookup, every other atom a filter
@@ -337,15 +358,18 @@ class HiActorEngine:
             if ids is None and isinstance(a, ir.Cmp) and a.prop in (None, "id") and a.op == "=":
                 ids = [a.value]
             elif ids is None and isinstance(a, ir.InList) and a.prop in (None, "id"):
-                ids = list(a.values)
+                ids = sorted(set(a.values))  # a repeated id still matches one row
             else:
                 rest.append(a)
         rows = slice(None) if ids is None else t.find(ids)[0]
-        return _filter({f"{alias}_{c}": a[rows] for c, a in t.cols.items()}, rest)
+        return _filter({f"{alias}_{c}": t.cols[c][rows] for c in _wanted(props, alias, t.cols)},
+                       rest)
 
-    def _apply(self, rel: Rel | None, op) -> Rel:
+    def _apply(self, rel: Rel | None, op, props, nxt) -> Rel:
+        """``op`` over ``rel``; ``props`` is :func:`_read_props` of the
+        plan and ``nxt`` the operator after ``op`` (or None)."""
         if isinstance(op, ir.Scan):
-            new = self._vertex_rel(op.label, op.alias, op.predicate)
+            new = self._vertex_rel(op.label, op.alias, op.predicate, props)
             if rel is None:
                 return new
             n, m = _nrows(rel), _nrows(new)  # cross product, left-major
@@ -353,28 +377,33 @@ class HiActorEngine:
             out.update({c: a[np.tile(np.arange(m), n)] for c, a in new.items()})
             return out
         if isinstance(op, ir.ExpandEdge) or isinstance(op, ir.ExpandVertex):
-            # fused ExpandVertex keeps the edge properties only for its
-            # predicate, under the target alias, and drops them after
-            fused = isinstance(op, ir.ExpandVertex)
-            ealias = op.alias if fused else op.edge_alias
             dirs = ["out", "in"] if op.direction == "both" else [op.direction]
+            if isinstance(op, ir.ExpandVertex):
+                # the neighbour id, plus the edge properties its own
+                # (pushed, single-alias) predicate reads, dropped after it
+                far = f"{op.alias}_id"
+                ecols = {f"{a.alias}_{a.prop}": a.prop for a in op.predicate}
+            else:
+                far = f"{op.edge_alias}_nbr"
+                names = _wanted(props, op.edge_alias, self.adj[(op.edge_label, dirs[0])].props)
+                ecols = {f"{op.edge_alias}_{c}": c for c in names}
             src_ids = rel[f"{op.from_alias}_id"]
             parts = []
             for d in dirs:
                 idx = self.adj[(op.edge_label, d)]
                 row, take = idx.gather(src_ids)
                 part = {c: a[row] for c, a in rel.items()}
-                part[f"{op.alias}_id" if fused else f"{ealias}_nbr"] = idx.nbrs[take]
-                for c, arr in idx.props.items():
-                    part[f"{ealias}_{c}"] = arr[take]
+                part[far] = idx.nbrs[take]
+                for c, p in ecols.items():
+                    part[c] = idx.props[p][take]
                 parts.append(part)
             out = parts[0] if len(parts) == 1 else {
                 c: np.concatenate([p[c] for p in parts]) for c in parts[0]
             }
             out = _filter(out, op.predicate or ())
-            if fused:
-                for c in idx.props:
-                    del out[f"{ealias}_{c}"]
+            if isinstance(op, ir.ExpandVertex):
+                for c in ecols:
+                    del out[c]
             return out
         if isinstance(op, ir.GetVertex):
             # take only the matched vertex rows (an inner join on id)
@@ -382,8 +411,8 @@ class HiActorEngine:
             t = self.tables[op.label]
             pos, hit = t.find(rel[nbr])
             out = {c: a[hit] for c, a in rel.items() if c != nbr}
-            for c, a in t.cols.items():
-                out[f"{op.alias}_{c}"] = a[pos]
+            for c in _wanted(props, op.alias, t.cols):
+                out[f"{op.alias}_{c}"] = t.cols[c][pos]
             return _filter(out, op.predicate or ())
         if isinstance(op, ir.Join):
             left = self.execute(op.left)
@@ -401,8 +430,7 @@ class HiActorEngine:
         if isinstance(op, ir.GroupBy):
             return _groupby(rel, op)
         if isinstance(op, ir.OrderBy):
-            keys = [_sort_key(rel[n], asc) for n, asc in op.keys]
-            return _take(rel, np.lexsort(keys[::-1]))  # stable, first key major
+            return _take(rel, _order(rel, op.keys, nxt.n if isinstance(nxt, ir.Limit) else None))
         if isinstance(op, ir.Limit):
             return {c: a[: op.n] for c, a in rel.items()}
         if isinstance(op, ir.Count):
@@ -449,36 +477,81 @@ _CMP = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
         "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
+_SQL_EQ = re.compile(r"(?<![<>!=])=(?!=)")  # '=' not part of <=, >=, !=, ==
+_SQL_AND = re.compile(r"\bAND\b", re.IGNORECASE)
+_SQL_OR = re.compile(r"\bOR\b", re.IGNORECASE)
+
+
 def _sql_to_pandas(sql: str) -> str:
     """Best-effort SQL -> pandas.eval syntax for Raw atoms."""
-    out = sql.replace("<>", "!=")
-    # single '=' (not part of <=, >=, !=, ==) -> '=='
-    import re as _re
+    out = _SQL_EQ.sub("==", sql.replace("<>", "!="))
+    return _SQL_OR.sub("or", _SQL_AND.sub("and", out))
 
-    out = _re.sub(r"(?<![<>!=])=(?!=)", "==", out)
-    out = _re.sub(r"\bAND\b", "and", out, flags=_re.IGNORECASE)
-    out = _re.sub(r"\bOR\b", "or", out, flags=_re.IGNORECASE)
-    return out
+
+def _read_props(plan) -> dict[str, set[str]] | None:
+    """alias -> the properties the plan reads (``ir.referenced_props``)
+    when its result keeps only the columns a Project, GroupBy or Count
+    names; ``None`` (keep every column) when no such operator comes
+    before the first OrderBy, whose keys name columns directly."""
+    for op in plan:
+        if isinstance(op, ir.OrderBy):
+            return None
+        if isinstance(op, (ir.Project, ir.GroupBy, ir.Count)):
+            return ir.referenced_props(plan)
+    return None
+
+
+def _wanted(props: dict[str, set[str]] | None, alias: str, names) -> list[str]:
+    """The columns among ``names`` that ``alias`` must carry: its id and
+    the properties in ``props`` (every one when ``props`` is None or
+    holds ``"*"``)."""
+    want = None if props is None else props.get(alias, set())
+    if want is None or "*" in want:
+        return list(names)
+    return [c for c in names if c == "id" or c in want]
 
 
 def _group_codes(cols: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Group number of every row over the key columns ``cols`` (groups
     numbered in order of first appearance, missing values a group of
     their own) and the first row of each group."""
-    codes = np.zeros(len(cols[0]), dtype=np.int64)
-    for c in cols:
+    codes = pd.factorize(cols[0], use_na_sentinel=False)[0]
+    for c in cols[1:]:
         k, uniq = pd.factorize(c, use_na_sentinel=False)
         codes = pd.factorize(codes * len(uniq) + k)[0]
-    return codes, np.unique(codes, return_index=True)[1]
+    # codes count up from 0 in row order, so a group's first row is
+    # where their running maximum rises
+    top = np.maximum.accumulate(codes)
+    rise = np.ones(len(codes), dtype=bool)
+    rise[1:] = top[1:] != top[:-1]
+    return codes, np.flatnonzero(rise)
 
 
 def _sort_key(col: np.ndarray, asc: bool) -> np.ndarray:
-    """Integer rank of every value for ``np.lexsort``; missing values
-    last in either direction, as in ``DataFrame.sort_values``."""
+    """Key for ``np.lexsort``: a signed integer or bool column itself
+    (``~x`` descending, which cannot overflow), any other the integer
+    rank of every value, missing values last in either direction, as in
+    ``DataFrame.sort_values``."""
+    if col.dtype.kind in "ib":
+        return col if asc else ~col
     r, uniq = pd.factorize(col, sort=True)
     key = r if asc else len(uniq) - 1 - r
     key[r < 0] = len(uniq)
     return key
+
+
+def _order(rel: Rel, keys, k: int | None = None) -> np.ndarray:
+    """Rows of ``rel`` in a stable sort on ``keys`` (first key major),
+    only the first ``k`` when ``k`` is given.  For top-k, rows whose
+    first key lies past its k-th smallest value cannot be among the
+    first k, so only the others are sorted."""
+    sk = [_sort_key(rel[n], asc) for n, asc in keys]
+    rows = None
+    if k is not None and 0 < k < len(sk[0]):
+        rows = np.flatnonzero(sk[0] <= np.partition(sk[0], k - 1)[k - 1])
+        sk = [s[rows] for s in sk]
+    order = np.lexsort(sk[::-1])[:k]
+    return order if rows is None else rows[order]
 
 
 _AGG = {"count": "count", "sum": "sum", "avg": "mean", "min": "min", "max": "max"}
@@ -496,13 +569,12 @@ def _groupby(rel: Rel, op: ir.GroupBy) -> Rel:
     codes, first = _group_codes([rel[e.ref.column] for e in op.keys])
     out = {e.name: rel[e.ref.column][first] for e in op.keys}
     for a in op.aggs:
-        if a.fn == "count" and a.ref is None:
+        col = None if a.ref is None else rel[a.ref.column]
+        if a.fn == "count" and (col is None or col.dtype.kind in "iub"):  # no missing values
             out[a.name] = np.bincount(codes, minlength=len(first))
         elif a.fn == "count":
-            out[a.name] = np.bincount(
-                codes[pd.notna(rel[a.ref.column])], minlength=len(first)
-            )
+            out[a.name] = np.bincount(codes[pd.notna(col)], minlength=len(first))
         else:  # pandas' per-group semantics (missing values skipped)
-            g = pd.Series(rel[a.ref.column]).groupby(codes)
+            g = pd.Series(col).groupby(codes)
             out[a.name] = getattr(g, _AGG[a.fn])().to_numpy()
     return out

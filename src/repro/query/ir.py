@@ -288,14 +288,22 @@ Plan = tuple  # tuple of operators
 def referenced_props(plan) -> dict[str, set[str]]:
     """alias -> set of property names referenced anywhere downstream.
 
-    Drives EdgeVertexFusion legality: a GetVertex whose alias has no
-    referenced properties (and no predicate) can fuse into the expand.
+    ``alias.id`` is the entity id (the ``alias_id`` column that
+    ``Ref(alias, None)`` names), not a property.  A Raw atom marks each
+    alias it names with ``"*"`` (every property).  Drives
+    EdgeVertexFusion legality (a GetVertex whose alias has no referenced
+    properties, and no predicate, can fuse into the expand) and the
+    columns HiActor's Scan, GetVertex and ExpandEdge take.
     """
     out: dict[str, set[str]] = {}
 
+    def add(alias: str, prop: str | None):
+        if prop not in (None, "id"):
+            out.setdefault(alias, set()).add(prop)
+
     def add_ref(ref: Ref | None):
-        if ref is not None and ref.prop is not None:
-            out.setdefault(ref.alias, set()).add(ref.prop)
+        if ref is not None:
+            add(ref.alias, ref.prop)
 
     def add_atoms(atoms):
         for a in atoms or ():
@@ -306,8 +314,8 @@ def referenced_props(plan) -> dict[str, set[str]]:
                 # conservatively mark every named alias as property-using
                 for al in a.aliases:
                     out.setdefault(al, set()).add("*")
-            elif a.prop is not None:
-                out.setdefault(a.alias, set()).add(a.prop)
+            else:
+                add(a.alias, a.prop)
 
     for op in plan:
         if isinstance(op, (Scan, ExpandEdge, GetVertex, ExpandVertex, Select)):

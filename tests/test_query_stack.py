@@ -3,6 +3,7 @@
 Every result is oracle-checked against DuckDB SQL over the same
 vertex/edge tables, and Gaia vs HiActor must agree row-for-row.
 """
+import duckdb
 import pandas as pd
 import pytest
 
@@ -290,6 +291,101 @@ def test_group_order_limit(gaia, pg, catalog):
     )
 
 
+# -- the co-purchase and co-buyers templates of the interactive benchmark --
+CY_COPURCHASE = (
+    "MATCH (a:Account)-[:BUY]->(i:Item)<-[:BUY]-(s:Account) WHERE a.id = {v} "
+    "RETURN s.id AS buyer, count(i) AS common ORDER BY common DESC, buyer ASC LIMIT 10"
+)
+SQL_COPURCHASE = """
+SELECT b2.src AS buyer, count(*) AS common FROM buy b1 JOIN buy b2 ON b2.dst = b1.dst
+WHERE b1.src = {v} GROUP BY b2.src ORDER BY common DESC, buyer ASC LIMIT 10
+"""
+GR_COBUYERS = "g.V('Account').hasId({v}).out('BUY').in_('BUY').dedup().count()"
+SQL_COBUYERS = """
+SELECT count(DISTINCT b2.src) AS cnt FROM buy b1 JOIN buy b2 ON b2.dst = b1.dst
+WHERE b1.src = {v}
+"""
+
+
+def _accounts(pg):
+    """The two biggest buyers, an account that bought nothing, an absent id."""
+    buy, ids = pg.edges["BUY"], pg.vertices["Account"].id
+    idle = sorted(set(ids) - set(buy.src))[0]
+    return [int(x) for x in buy.src.value_counts().index[:2]] + [int(idle), int(ids.max()) + 1]
+
+
+def _rows(df):
+    return [tuple(int(x) for x in r) for r in df.itertuples(index=False)]
+
+
+def test_copurchase_plan_fuses_on_vertex_id(catalog):
+    """``RETURN s.id`` reads the id the fused expand yields, not a property."""
+    plan = compile_plan(parse_cypher(CY_COPURCHASE.format(v=1)), catalog=catalog,
+                        rbo=True, cbo=True)
+    assert not any(isinstance(op, ir.GetVertex) for op in plan), plan
+    assert sum(isinstance(op, ir.ExpandVertex) for op in plan) == 2, plan
+    assert ir.referenced_props((ir.Project((ir.ProjExpr(ir.Ref("s", "id"), "x"),)),)) == {}
+
+
+@pytest.mark.parametrize("rbo", [False, True])
+@pytest.mark.parametrize("template", ["cypher", "gremlin"])
+def test_interactive_templates_agree(gaia, hiactor, pg, store, catalog, rbo, template):
+    text, sql = (CY_COPURCHASE, SQL_COPURCHASE) if template == "cypher" else (GR_COBUYERS,
+                                                                            SQL_COBUYERS)
+    tables = _tables(pg)
+    for v in _accounts(pg):
+        logical = (parse_cypher(text.format(v=v)) if template == "cypher"
+                   else parse_gremlin(text.format(v=v), store._pg.edge_signatures))
+        plan = compile_plan(logical, catalog=catalog, rbo=rbo, cbo=True)
+        with duckdb.connect() as con:
+            for name, t in tables.items():
+                con.register(name, t)
+            want = _rows(con.execute(sql.format(v=v)).fetchdf())
+        assert _rows(hiactor.execute(plan)) == want, (v, plan)
+        assert _rows(gaia.execute(plan).toPandas()) == want, (v, plan)
+
+
+def test_fused_expand_filters_on_edge_property(gaia, hiactor, pg, catalog):
+    cy = """
+    MATCH (a:Person)-[k:KNOWS]->(b:Person) WHERE k.creationDate > 1000 AND a.city = 'paris'
+    RETURN a.id AS x, b.id AS y
+    """
+    plan = compile_plan(parse_cypher(cy), catalog=catalog, rbo=True, cbo=True)
+    assert any(isinstance(op, ir.ExpandVertex) and op.predicate for op in plan), plan
+    sql = """
+    SELECT a.id AS x, k.dst AS y FROM person a JOIN knows k ON k.src = a.id
+    WHERE k.creationDate > 1000 AND a.city = 'paris'
+    """
+    assert_equivalent(gaia.execute(plan), sql, **_tables(pg))
+    got = hiactor.execute(plan)
+    assert sorted(_rows(got)) == sorted(_rows(gaia.execute(plan).toPandas()))
+
+
+def test_id_in_list_with_repeated_id(gaia, hiactor, pg):
+    a, b = pg.vertices["Person"].id.tolist()[:2]
+    cy = f"MATCH (p:Person) WHERE p.id IN [{b}, {a}, {b}] RETURN p.name AS n"
+    want = sorted(pg.vertices["Person"].set_index("id").name[[a, b]])
+    for rbo in (False, True):  # RBO pushes the IN list into the Scan's id lookup
+        plan = compile_plan(parse_cypher(cy), rbo=rbo)
+        assert sorted(hiactor.execute(plan).n) == want, plan
+        assert sorted(gaia.execute(plan).toPandas().n) == want, plan
+
+
+def test_profile_leaves_results_unchanged(hiactor, pg, catalog):
+    v = _accounts(pg)[0]
+    plans = [
+        compile_plan(parse_cypher(CY_COPURCHASE.format(v=v)), catalog=catalog, rbo=True, cbo=True),
+        compile_plan(parse_cypher(CY_BIFURCATED), catalog=catalog, rbo=False, cbo=False),
+    ]
+    for plan in plans:
+        prof = []
+        got = hiactor.execute(plan, profile=prof)
+        pd.testing.assert_frame_equal(got, hiactor.execute(plan))
+        assert [op for op, _, _ in prof] == list(plan)
+        assert prof[-1][1] == len(got)
+        assert all(rows >= 0 and us >= 0 for _, rows, us in prof)
+
+
 # -- HiActor's array operators against the pandas operators they replace ---
 @pytest.fixture(scope="module")
 def odd_table():
@@ -306,6 +402,9 @@ def odd_table():
     k1[::9] = None
     t = pd.DataFrame({"id": g.permutation(n) + 100, "k1": k1,
                       "k2": g.integers(0, 3, n), "v": v, "w": g.integers(0, 50, n)})
+    big = np.iinfo(np.int64)  # int64 keys at both ends, where a negated key overflows
+    t["i"] = g.choice([big.min, -1, 0, 5, big.max], n)
+    t["b"] = g.random(n) < 0.5
     pg = PropertyGraph()
     pg.add_vertices("T", t)
     ref = t.sort_values("id", ignore_index=True)  # the row order Scan yields
@@ -321,32 +420,73 @@ def _agg_ref(df, op):
         columns={e.ref.column: e.name for e in op.keys})
 
 
-@pytest.mark.parametrize("keys", [("k1",), ("k2", "k1")])
-def test_hiactor_groupby_matches_pandas(odd_table, keys):
+NOTHING = (ir.Cmp("t", "w", ">", 1000),)  # a Scan predicate no row meets
+GROUP_KEYS = [("k1",), ("k2", "k1"), ("k2",), ("i",)]
+
+
+def _check_groupby(odd_table, keys, where):
     eng, ref = odd_table
+    ref = ref[ref.t_w > 1000] if where else ref
     op = ir.GroupBy(
         keys=tuple(ir.ProjExpr(ir.Ref("t", k), k) for k in keys),
         aggs=(ir.AggExpr("count", None, "n"), ir.AggExpr("count", ir.Ref("t", "v"), "nv"),
+              ir.AggExpr("count", ir.Ref("t", "i"), "ni"),
               ir.AggExpr("sum", ir.Ref("t", "v"), "s"), ir.AggExpr("avg", ir.Ref("t", "w"), "a"),
               ir.AggExpr("min", ir.Ref("t", "v"), "lo"), ir.AggExpr("max", ir.Ref("t", "w"), "hi")),
     )
-    got, want = eng.execute([ir.Scan("T", "t"), op]), _agg_ref(ref, op)
+    got, want = eng.execute([ir.Scan("T", "t", where), op]), _agg_ref(ref, op)
     # the missing key is the data's None here and NaN in pandas' group index
     pd.testing.assert_frame_equal(got.where(got.notna(), float("nan")), want, check_dtype=False)
 
 
-@pytest.mark.parametrize("keys", [(("t_k1", False), ("t_w", True)), (("t_v", True),),
-                                  (("t_k2", False), ("t_v", False))])
-def test_hiactor_orderby_matches_pandas(odd_table, keys):
+def _check_distinct(odd_table, keys, where):
     eng, ref = odd_table
-    got = eng.execute([ir.Scan("T", "t"), ir.OrderBy(keys)])
-    want = ref.sort_values([k for k, _ in keys], ascending=[a for _, a in keys], kind="stable")
+    ref = ref[ref.t_w > 1000] if where else ref
+    exprs = tuple(ir.ProjExpr(ir.Ref("t", k), k) for k in keys)
+    got = eng.execute([ir.Scan("T", "t", where), ir.Project(exprs, distinct=True)])
+    want = ref[[f"t_{k}" for k in keys]].set_axis(list(keys), axis=1).drop_duplicates()
     pd.testing.assert_frame_equal(got, want.reset_index(drop=True))
+
+
+@pytest.mark.parametrize("keys", GROUP_KEYS)
+def test_hiactor_groupby_matches_pandas(odd_table, keys):
+    _check_groupby(odd_table, keys, ())
 
 
 def test_hiactor_distinct_matches_pandas(odd_table):
+    _check_distinct(odd_table, ("k1", "k2"), ())
+
+
+@pytest.mark.parametrize("keys", [("k2",), ("i",)])
+def test_hiactor_distinct_int_key_matches_pandas(odd_table, keys):
+    _check_distinct(odd_table, keys, ())
+
+
+@pytest.mark.parametrize("keys", GROUP_KEYS)
+def test_hiactor_empty_relation_matches_pandas(odd_table, keys):
+    _check_groupby(odd_table, keys, NOTHING)
+    _check_distinct(odd_table, keys, NOTHING)
+
+
+ORDER_KEYS = [(("t_k1", False), ("t_w", True)), (("t_v", True),),
+              (("t_k2", False), ("t_v", False)), (("t_i", False), ("t_k1", True)),
+              (("t_i", True),), (("t_b", False), ("t_i", True))]
+
+
+def _sorted(ref, keys):
+    return ref.sort_values([k for k, _ in keys], ascending=[a for _, a in keys], kind="stable")
+
+
+@pytest.mark.parametrize("keys", ORDER_KEYS)
+def test_hiactor_orderby_matches_pandas(odd_table, keys):
     eng, ref = odd_table
-    exprs = (ir.ProjExpr(ir.Ref("t", "k1"), "k1"), ir.ProjExpr(ir.Ref("t", "k2"), "k2"))
-    got = eng.execute([ir.Scan("T", "t"), ir.Project(exprs, distinct=True)])
-    want = ref[["t_k1", "t_k2"]].set_axis(["k1", "k2"], axis=1).drop_duplicates()
-    pd.testing.assert_frame_equal(got, want.reset_index(drop=True))
+    got = eng.execute([ir.Scan("T", "t"), ir.OrderBy(keys)])
+    pd.testing.assert_frame_equal(got, _sorted(ref, keys).reset_index(drop=True))
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 60, 65])  # the table has 60 rows
+@pytest.mark.parametrize("keys", ORDER_KEYS)
+def test_hiactor_topk_matches_pandas(odd_table, keys, k):
+    eng, ref = odd_table
+    got = eng.execute([ir.Scan("T", "t"), ir.OrderBy(keys), ir.Limit(k)])
+    pd.testing.assert_frame_equal(got, _sorted(ref, keys).head(k).reset_index(drop=True))
